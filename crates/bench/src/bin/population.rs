@@ -91,6 +91,7 @@ fn main() {
         (Some(c), Some(b)) if b > 0.0 => c / b,
         _ => f64::NAN,
     };
+    let goodputs: Vec<f64> = out.reports.iter().map(|r| r.mean_goodput.gbps()).collect();
     let delivered_gb: f64 = out
         .reports
         .iter()
@@ -104,7 +105,7 @@ fn main() {
         events_processed: out.events_processed,
         events_per_sec: out.events_per_sec(),
         sim_end_s: out.sim_end.as_secs_f64(),
-        jain_fairness: out.jain_fairness(),
+        jain_fairness: analysis::fairness::jain_index(&goodputs),
         goodput_ratio_cubic_over_bbr: ratio,
         sender_energy_j: out.sender_energy_j,
         receiver_energy_j: out.receiver_energy_j,

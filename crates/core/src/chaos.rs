@@ -16,7 +16,6 @@
 
 use crate::scale::Scale;
 use analysis::stats::Summary;
-use scenario::expect;
 use scenario::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -230,9 +229,9 @@ pub fn run(cfg: &Config) -> std::result::Result<Result, ChaosError> {
                 min_savings_pct: MIN_SAVINGS_PCT,
             }
             .evaluate(&serial.measured, Some(&fair.measured));
-            let (se, fe) = expect::equalized_energy_j(&serial.measured, &fair.measured);
-            fair_e.push(fe);
-            serial_e.push(se);
+            let common = serial.measured.window.max(fair.measured.window);
+            fair_e.push(fair.measured.padded_energy_j(common));
+            serial_e.push(serial.measured.padded_energy_j(common));
             savings.push(ordering.measured);
             checks.push(ordering);
             drops.push(fair.measured.injected_drops as f64);

@@ -13,21 +13,10 @@
 //!   bottleneck and watch burst losses and per-byte energy grow with N.
 
 use cca::CcaKind;
+use energy::calibration::pad_to_window;
 use netsim::time::SimTime;
 use serde::{Deserialize, Serialize};
 use workload::prelude::*;
-
-/// Common base power used to extend energies to a shared window
-/// (a completed host idles at exactly this power).
-fn base_power_w() -> f64 {
-    energy::calibration::P_IDLE_W
-}
-
-/// Extend an outcome's sender energy to `window_s`, charging idle power
-/// for the tail on each of `hosts` sender hosts.
-fn energy_over(out: &ScenarioOutcome, window_s: f64, hosts: f64) -> f64 {
-    out.sender_energy_j + (window_s - out.window.as_secs_f64()).max(0.0) * base_power_w() * hosts
-}
 
 /// §5 — flow multiplexing at one sender.
 pub mod multiplexed {
@@ -85,7 +74,11 @@ pub mod multiplexed {
         ]);
         let hosts = if colocate { 1.0 } else { 2.0 };
         let w = fair.window.as_secs_f64().max(serial.window.as_secs_f64());
-        (energy_over(&fair, w, hosts), energy_over(&serial, w, hosts))
+        // Completed hosts idle at base power until the common window.
+        let pad = |out: &ScenarioOutcome| {
+            pad_to_window(out.sender_energy_j, out.window.as_secs_f64(), w, hosts, 0.0)
+        };
+        (pad(&fair), pad(&serial))
     }
 
     /// Run the comparison.
@@ -173,7 +166,13 @@ pub mod srpt {
             / out.reports.len() as f64;
         Schedule {
             mean_fct_s: mean_fct,
-            energy_j: energy_over(out, window_s, hosts),
+            energy_j: pad_to_window(
+                out.sender_energy_j,
+                out.window.as_secs_f64(),
+                window_s,
+                hosts,
+                0.0,
+            ),
             window_s,
         }
     }

@@ -154,24 +154,6 @@ fn measure(scenarios: impl Iterator<Item = Scenario>, fraction: f64) -> RawPoint
     }
 }
 
-/// Extend every point's energy to a per-seed *common* measurement window
-/// (the latest completion across all schedules of that seed). A completed
-/// host idles at exactly base power, so the extension is the analytic
-/// `(W - w) * P_base` per host — this removes completion-jitter noise
-/// from the savings comparison without rerunning anything.
-fn equalize_windows(raw: &mut [RawPoint], cfg: &Config, hosts: f64) {
-    let fan = energy::calibration::reference_fan();
-    let base_w = energy::calibration::P_IDLE_W + fan.watts(cfg.background.utilization());
-    let seeds = cfg.seeds.len();
-    for i in 0..seeds {
-        let common = raw.iter().map(|rp| rp.window[i]).fold(0.0_f64, f64::max);
-        for rp in raw.iter_mut() {
-            rp.energy[i] += (common - rp.window[i]) * base_w * hosts;
-            rp.window[i] = common;
-        }
-    }
-}
-
 /// Run the sweep.
 pub fn run(cfg: &Config) -> Result {
     let fair = measure(cfg.seeds.iter().map(|&s| fair_scenario(cfg, s)), 0.5);
@@ -188,7 +170,24 @@ pub fn run(cfg: &Config) -> Result {
             f,
         ));
     }
-    equalize_windows(&mut raw, cfg, 2.0);
+    // Extend every point's energy to a per-seed *common* measurement
+    // window (the latest completion across all schedules of that seed):
+    // completed hosts idle at exactly base power, which removes
+    // completion-jitter noise from the savings comparison without
+    // rerunning anything.
+    for i in 0..cfg.seeds.len() {
+        let common = raw.iter().map(|rp| rp.window[i]).fold(0.0_f64, f64::max);
+        for rp in raw.iter_mut() {
+            rp.energy[i] = energy::calibration::pad_to_window(
+                rp.energy[i],
+                rp.window[i],
+                common,
+                2.0,
+                cfg.background.utilization(),
+            );
+            rp.window[i] = common;
+        }
+    }
 
     let fair_energy: Vec<f64> = raw[0].energy.clone();
     let to_point = |rp: &RawPoint| -> Point {

@@ -359,15 +359,6 @@ pub fn run_matrix(scale: Scale) -> Matrix {
 /// ~6× across MTUs (a 1500-byte-MTU transfer pushes six times the
 /// packets of a 9000-byte one), so a static split leaves workers idle
 /// behind whoever drew the expensive cells.
-pub fn run_matrix_with_threads(scale: Scale, threads: usize) -> Matrix {
-    run_matrix_with_runner(scale, threads, |cca, mtu, bytes, seeds| {
-        run_cell(cca, mtu, bytes, seeds)
-    })
-}
-
-/// [`run_matrix_with_threads`] with a pluggable cell runner — the
-/// testing seam the failure-handling tests poison individual cells
-/// through. Production paths always pass [`run_cell`].
 ///
 /// A cell whose run fails is retried under the default
 /// [`crate::campaign::RetryPolicy`] — one more attempt, on a perturbed
@@ -375,15 +366,12 @@ pub fn run_matrix_with_threads(scale: Scale, threads: usize) -> Matrix {
 /// the campaign carries on and the cell is recorded in
 /// [`Matrix::failed`], so one poisoned configuration costs its own cell
 /// and nothing else.
-pub fn run_matrix_with_runner<F>(scale: Scale, threads: usize, runner: F) -> Matrix
-where
-    F: Fn(CcaKind, u32, u64, &[u64]) -> Result<Cell, CellError> + Sync,
-{
+pub fn run_matrix_with_threads(scale: Scale, threads: usize) -> Matrix {
     let opts = crate::campaign::CampaignOptions {
         threads,
         ..Default::default()
     };
-    crate::campaign::run_campaign_with_runner(scale, opts, runner)
+    crate::campaign::run_campaign_with_runner(scale, opts, run_cell)
         .expect("no journal configured and cell panics are contained, so the campaign machinery cannot fail")
         .matrix
 }
@@ -391,7 +379,22 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_campaign_with_runner, CampaignOptions};
     use netsim::units::MB;
+
+    /// A journal-free campaign over `threads` workers with a stub runner.
+    fn run_stubbed<F>(threads: usize, runner: F) -> Matrix
+    where
+        F: Fn(CcaKind, u32, u64, &[u64]) -> Result<Cell, CellError> + Sync,
+    {
+        let opts = CampaignOptions {
+            threads,
+            ..Default::default()
+        };
+        run_campaign_with_runner(Scale::quick(), opts, runner)
+            .expect("journal-free campaign")
+            .matrix
+    }
 
     #[test]
     fn cell_summarizes_repetitions() {
@@ -451,7 +454,7 @@ mod tests {
         // campaign must finish, keep every healthy cell, and list both
         // casualties — not die on the first.
         let poisoned = [(CcaKind::Cubic, 1500), (CcaKind::Reno, 9000)];
-        let m = run_matrix_with_runner(Scale::quick(), 4, |cca, mtu, _bytes, seeds| {
+        let m = run_stubbed(4, |cca, mtu, _bytes, seeds| {
             if poisoned.contains(&(cca, mtu)) {
                 Err(stub_err(cca, mtu, seeds[0], "poisoned"))
             } else {
@@ -480,7 +483,7 @@ mod tests {
         // Fail (Bbr, 3000) only on the original seed schedule; the retry
         // runs with salted seeds and succeeds, so the matrix is complete.
         let original = Scale::quick().seeds();
-        let m = run_matrix_with_runner(Scale::quick(), 2, |cca, mtu, _bytes, seeds| {
+        let m = run_stubbed(2, |cca, mtu, _bytes, seeds| {
             if (cca, mtu) == (CcaKind::Bbr, 3000) && seeds == original.as_slice() {
                 Err(stub_err(cca, mtu, seeds[0], "flaky"))
             } else {

@@ -133,6 +133,24 @@ pub fn reference_fan() -> FanModel {
     FanModel::new(P_BUSY_W - P_IDLE_W, FAN_R)
 }
 
+/// Pad `energy_j`, measured over `window_s` on `hosts` sender hosts, to
+/// the longer `common_s` window. A host whose flows have completed
+/// idles at base power, the idle package plus the fan term at
+/// `background_util`, until the common window closes. Savings
+/// comparisons (Fig. 1, the §5 extensions, the `SavingsOrdering`
+/// expectation) equalize windows this way instead of re-running
+/// anything. A window already at least `common_s` long is unchanged.
+pub fn pad_to_window(
+    energy_j: f64,
+    window_s: f64,
+    common_s: f64,
+    hosts: f64,
+    background_util: f64,
+) -> f64 {
+    let base_w = P_IDLE_W + reference_fan().watts(background_util);
+    energy_j + (common_s - window_s).max(0.0) * base_w * hosts
+}
+
 /// Network power at throughput `gbps` above idle at zero background load:
 /// curve plus per-packet terms at the calibration MTU, reference CCA.
 fn net_power_w(gbps: f64) -> f64 {
@@ -185,6 +203,23 @@ pub fn reference_host_model() -> HostPowerModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn padding_charges_base_power_per_host_for_the_tail() {
+        // Idle hosts draw exactly the idle package: the fan adds 0 W.
+        assert_eq!(reference_fan().watts(0.0), 0.0);
+        assert_eq!(
+            pad_to_window(10.0, 1.0, 3.0, 2.0, 0.0),
+            10.0 + 2.0 * P_IDLE_W * 2.0
+        );
+        assert_eq!(
+            pad_to_window(10.0, 3.0, 1.0, 2.0, 0.0),
+            10.0,
+            "no negative padding"
+        );
+        let loaded = pad_to_window(0.0, 0.0, 1.0, 1.0, 0.5);
+        assert_eq!(loaded, P_IDLE_W + reference_fan().watts(0.5));
+    }
 
     #[test]
     fn model_reproduces_the_three_reference_powers() {

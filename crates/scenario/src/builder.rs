@@ -4,21 +4,22 @@
 //! validates the composition (chaos phases must compile to a legal
 //! [`netsim::fault::FaultSpec`], recovery checks need a scheduled
 //! outage to measure from, savings checks need a baseline run to
-//! compare against, population topologies can't take flow-level chaos)
-//! and freezes it into a [`ScenarioSpec`]; [`ScenarioSpec::run`]
-//! dispatches to the right runner — the dumbbell and rack-grid runners
-//! in `workload`, or this crate's parking-lot runner — and evaluates
-//! every expectation over the run's [`Measured`] summary.
+//! compare against, traffic must fit the topology, a rack grid takes no
+//! chaos, traces or recorder) and freezes it into a [`ScenarioSpec`].
+//! [`ScenarioSpec::run`] compiles every topology but the rack grid into
+//! one [`workload::scenario::Scenario`] for the shared runner
+//! ([`workload::scenario::run`]); the grid runs as a population of
+//! incast racks on that same runner. Every expectation is then
+//! evaluated over the run's [`Measured`] summary.
 
 use crate::chaos::{self, ChaosPhase};
 use crate::expect::{Expectation, ExpectationReport, Measured};
-use crate::parking::ParkingRun;
 use crate::traffic::Traffic;
 use netsim::fault::{FaultSpec, FaultSpecError};
 use netsim::time::{SimDuration, SimTime};
 use workload::iperf::FlowSpec;
-use workload::population::{PopulationError, PopulationSpec};
-use workload::scenario::{Observe, Scenario, ScenarioError};
+use workload::population::{rack_scenarios, run_population, PopulationError, PopulationSpec};
+use workload::scenario::{Observe, Scenario, ScenarioError, Shape};
 
 /// The paper's testbed link rate, shared by every topology here.
 const LINK_GBPS: f64 = 10.0;
@@ -31,21 +32,24 @@ const DEFAULT_MTU: u32 = 9000;
 /// after millisecond-scale flaps at tiny scale.
 const RECOVERY_TRACE_BIN: SimDuration = SimDuration::from_millis(1);
 
-/// The network shape a scenario runs on.
+/// The network shape a scenario runs on. Every shape runs through the
+/// one scenario runner, so chaos, traces, observability and every
+/// expectation work on all of them except the rack grid, whose
+/// independent racks have no cross-rack merge for those yet.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Topology {
-    /// N sender hosts through one bottleneck to one receiver (the
-    /// paper's testbed). Flow-level: supports chaos, traces, and every
-    /// expectation.
+    /// One sender host per flow through one bottleneck to one receiver
+    /// (the paper's testbed).
     Dumbbell,
-    /// A single rack: `senders` hosts fanning into one receiver.
-    /// Population-level (takes one [`Traffic::Mix`]); no chaos/traces.
+    /// A single rack: `senders` hosts fanning into one receiver, each
+    /// multiplexing its share of one [`Traffic::Mix`]; the one-rack case
+    /// of [`Topology::RackGrid`].
     Incast {
         /// Sender hosts fanning into the rack switch.
         senders: usize,
     },
     /// `racks` independent rack cells of `hosts_per_rack` senders each,
-    /// the many-flow scale-out shape. Population-level.
+    /// the many-flow scale-out shape; takes one [`Traffic::Mix`].
     RackGrid {
         /// Independent rack cells.
         racks: usize,
@@ -53,7 +57,7 @@ pub enum Topology {
         hosts_per_rack: usize,
     },
     /// A chain of `hops` bottlenecks: one through flow crossing all of
-    /// them against one local flow per hop. Flow-level.
+    /// them against one local flow per hop, each on its own sender host.
     ParkingLot {
         /// Bottleneck links in the chain.
         hops: usize,
@@ -62,8 +66,7 @@ pub enum Topology {
 
 impl Topology {
     /// The capacity expectations normalize against: one bottleneck's
-    /// rate for flow-level shapes, the aggregate across rack cells for
-    /// the grid.
+    /// rate, or the aggregate across rack cells for the grid.
     pub fn capacity_gbps(&self) -> f64 {
         match self {
             Topology::Dumbbell | Topology::Incast { .. } | Topology::ParkingLot { .. } => LINK_GBPS,
@@ -89,14 +92,14 @@ pub enum BuildError {
     /// A `SavingsOrdering` expectation with no attached baseline run.
     OrderingNeedsBaseline,
     /// The traffic list doesn't fit the topology (a population mix on a
-    /// flow-level shape, flow traffic on a grid, wrong parking-lot flow
-    /// count, ...).
+    /// dumbbell or parking lot, flow traffic on a rack, wrong parking-lot
+    /// flow count, ...).
     TopologyMismatch {
         /// What the topology required.
         detail: String,
     },
-    /// The composition asks for something a runner can't do (chaos or
-    /// traces on the population runner).
+    /// The composition asks for something a runner can't do (chaos,
+    /// traces or observability on a rack grid).
     Unsupported {
         /// What was asked and why it can't run.
         detail: String,
@@ -129,7 +132,7 @@ impl std::error::Error for BuildError {}
 /// Why a validated scenario failed to run.
 #[derive(Debug)]
 pub enum RunError {
-    /// A flow-level runner failed (stall, incomplete flow, deadline).
+    /// The scenario runner failed (stall, incomplete flow, deadline).
     Scenario(ScenarioError),
     /// The population runner failed (a rack stalled, a worker died).
     Population(PopulationError),
@@ -245,7 +248,7 @@ impl ScenarioBuilder {
     }
 
     /// Run with full observability (metrics + flight recorder +
-    /// Perfetto trace in the run's `obs` report). Dumbbell only.
+    /// Perfetto trace in the run's `obs` report). Not on a rack grid.
     pub fn with_observability(mut self) -> Self {
         self.observability = true;
         self
@@ -280,58 +283,46 @@ impl ScenarioBuilder {
             return Err(BuildError::OrderingNeedsBaseline);
         }
 
-        if self.topology.is_population() {
-            if !matches!(self.traffic.as_slice(), [Traffic::Mix { .. }]) {
-                return Err(BuildError::TopologyMismatch {
-                    detail: "population topologies take exactly one Traffic::Mix".into(),
-                });
-            }
-            if fault.is_some() {
-                return Err(BuildError::Unsupported {
-                    detail: "the population runner has no fault layer; use a flow-level topology for chaos".into(),
-                });
-            }
-            if self.trace_bin.is_some() {
-                return Err(BuildError::Unsupported {
-                    detail: "the population runner records no per-flow traces".into(),
-                });
-            }
-            if self.observability {
-                return Err(BuildError::Unsupported {
-                    detail: "observability is wired through the dumbbell runner only".into(),
-                });
-            }
+        let mixes = self
+            .traffic
+            .iter()
+            .filter(|t| matches!(t, Traffic::Mix { .. }))
+            .count();
+        let fits = if self.topology.is_population() {
+            self.traffic.len() == 1 && mixes == 1
         } else {
-            if self
-                .traffic
-                .iter()
-                .any(|t| matches!(t, Traffic::Mix { .. }))
-            {
+            mixes == 0
+        };
+        if !fits {
+            return Err(BuildError::TopologyMismatch {
+                detail: "Incast and RackGrid take exactly one Traffic::Mix, and only they take one"
+                    .into(),
+            });
+        }
+        if let Topology::ParkingLot { hops } = self.topology {
+            let flows: usize = self.traffic.iter().map(|t| t.flow_count()).sum();
+            if hops == 0 || flows != hops + 1 {
                 return Err(BuildError::TopologyMismatch {
-                    detail: "Traffic::Mix only fits population topologies (Incast, RackGrid)"
-                        .into(),
+                    detail: format!(
+                        "a {hops}-hop parking lot takes exactly {} flows \
+                         (through + one local per hop) and at least one hop, got {flows}",
+                        hops + 1
+                    ),
                 });
             }
-            if let Topology::ParkingLot { hops } = self.topology {
-                if hops == 0 {
-                    return Err(BuildError::TopologyMismatch {
-                        detail: "a parking lot needs at least one hop".into(),
-                    });
-                }
-                let flows: usize = self.traffic.iter().map(|t| t.flow_count()).sum();
-                if flows != hops + 1 {
-                    return Err(BuildError::TopologyMismatch {
-                        detail: format!(
-                            "a {hops}-hop parking lot takes exactly {} flows \
-                             (through + one local per hop), got {flows}",
-                            hops + 1
-                        ),
-                    });
-                }
-            }
-            if self.observability && self.topology != Topology::Dumbbell {
+        }
+        // A rack grid is many independent runs merged by the population
+        // runner, which carries energy and reports but no fault layer,
+        // traces or recorder.
+        if matches!(self.topology, Topology::RackGrid { .. }) {
+            let unsupported = [
+                (fault.is_some(), "chaos"),
+                (self.trace_bin.is_some(), "per-flow traces"),
+                (self.observability, "observability"),
+            ];
+            if let Some((_, what)) = unsupported.iter().find(|(asked, _)| *asked) {
                 return Err(BuildError::Unsupported {
-                    detail: "observability is wired through the dumbbell runner only".into(),
+                    detail: format!("a rack grid merges independent racks and carries no {what}"),
                 });
             }
         }
@@ -384,7 +375,7 @@ pub struct ScenarioRun {
     pub reports: Vec<ExpectationReport>,
     /// Every expectation passed.
     pub passed: bool,
-    /// The observability report (dumbbell with
+    /// The observability report (with
     /// [`ScenarioBuilder::with_observability`] only).
     pub obs: Option<obs::ObsReport>,
 }
@@ -433,42 +424,48 @@ impl ScenarioSpec {
         })
     }
 
-    /// Execute on the right runner and summarize. Expectation-free:
-    /// baselines run through this.
+    /// Execute and summarize. Expectation-free: baselines run through
+    /// this. Every shape but the rack grid is one scenario on the shared
+    /// runner; the grid is a population of them.
     fn measure(&self) -> Result<(Measured, Option<obs::ObsReport>), RunError> {
-        match self.topology {
-            Topology::Dumbbell => self.measure_dumbbell(),
-            Topology::Incast { senders } => self.measure_population(1, senders),
+        let mut sc = match self.topology {
             Topology::RackGrid {
                 racks,
                 hosts_per_rack,
-            } => self.measure_population(racks, hosts_per_rack),
-            Topology::ParkingLot { hops } => self.measure_parking(hops),
-        }
-    }
-
-    fn flat_flows(&self) -> Vec<FlowSpec> {
-        self.traffic.iter().flat_map(|t| t.compile()).collect()
-    }
-
-    fn measure_dumbbell(&self) -> Result<(Measured, Option<obs::ObsReport>), RunError> {
-        let flows = self.flat_flows();
-        let n_flows = flows.len();
-        let mut sc = Scenario::new(self.mtu, flows).with_seed(self.seed);
-        if let Some(spec) = &self.fault {
-            sc = sc.with_fault(spec.clone());
-        }
-        if let Some(bin) = self.trace_bin {
-            sc = sc.with_trace(bin);
-        }
-        if let Some(retries) = self.max_rto_retries {
-            sc = sc.with_max_rto_retries(retries);
-        }
+            } => return self.measure_grid(racks, hosts_per_rack),
+            // The single rack of a one-rack population: the same seed,
+            // arrival ramp and start jitter as the grid's racks.
+            Topology::Incast { senders } => {
+                let Some(rack) = rack_scenarios(&self.population(1, senders)).pop() else {
+                    return Err(ScenarioError::Invalid("an incast needs flows".into()).into());
+                };
+                rack
+            }
+            Topology::Dumbbell => Scenario::new(self.mtu, self.flat_flows()).with_seed(self.seed),
+            // The chain runs without start jitter or a pps ceiling.
+            Topology::ParkingLot { hops } => {
+                let mut sc = Scenario::new(self.mtu, self.flat_flows())
+                    .with_shape(Shape::ParkingLot { hops })
+                    .with_seed(self.seed);
+                sc.host_pps_cap = None;
+                sc.start_jitter = SimDuration::ZERO;
+                sc
+            }
+        };
+        sc.bottleneck_fault = self.fault.clone();
+        sc.trace_bin = self.trace_bin;
+        sc.max_rto_retries = self.max_rto_retries;
         if self.observability {
             sc.observe = Observe::Full;
         }
-        let capacity = sc.link_gbps;
         let outcome = workload::scenario::run(&sc)?;
+        let (window, n_sender_hosts) = match self.topology {
+            // Population windows run to the rack's end.
+            Topology::Incast { senders } => {
+                (outcome.sim_end.saturating_since(SimTime::ZERO), senders)
+            }
+            _ => (outcome.window, outcome.reports.len()),
+        };
         let traces = match (self.trace_bin, outcome.throughput_traces) {
             (Some(bin), Some(series)) => Some((bin, series)),
             _ => None,
@@ -476,24 +473,26 @@ impl ScenarioSpec {
         Ok((
             Measured {
                 reports: outcome.reports,
-                window: outcome.window,
+                window,
                 sender_energy_j: outcome.sender_energy_j,
-                n_sender_hosts: n_flows,
-                capacity_gbps: capacity,
+                n_sender_hosts,
+                capacity_gbps: self.topology.capacity_gbps(),
                 traces,
                 injected_drops: outcome.injected_drops,
                 sim_end: outcome.sim_end,
+                events_processed: outcome.engine.events_processed,
                 fault_clear: self.fault_clear,
             },
             outcome.obs,
         ))
     }
 
-    fn measure_population(
-        &self,
-        racks: usize,
-        hosts_per_rack: usize,
-    ) -> Result<(Measured, Option<obs::ObsReport>), RunError> {
+    fn flat_flows(&self) -> Vec<FlowSpec> {
+        self.traffic.iter().flat_map(|t| t.compile()).collect()
+    }
+
+    /// The population a `Traffic::Mix` describes on a rack grid.
+    fn population(&self, racks: usize, hosts_per_rack: usize) -> PopulationSpec {
         let Some(Traffic::Mix {
             flows,
             mix,
@@ -502,44 +501,33 @@ impl ScenarioSpec {
         else {
             unreachable!("build() guarantees exactly one Traffic::Mix");
         };
-        let spec = PopulationSpec::new(*flows, mix.clone())
+        PopulationSpec::new(*flows, mix.clone())
             .with_grid(racks, hosts_per_rack)
             .with_bytes_per_flow(*bytes_per_flow)
-            .with_seed(self.seed);
-        let capacity = racks as f64 * spec.link_gbps;
-        let outcome = workload::population::run_population(&spec)?;
+            .with_seed(self.seed)
+    }
+
+    fn measure_grid(
+        &self,
+        racks: usize,
+        hosts_per_rack: usize,
+    ) -> Result<(Measured, Option<obs::ObsReport>), RunError> {
+        let outcome = run_population(&self.population(racks, hosts_per_rack))?;
         Ok((
             Measured {
                 reports: outcome.reports,
                 window: outcome.sim_end.saturating_since(SimTime::ZERO),
                 sender_energy_j: outcome.sender_energy_j,
                 n_sender_hosts: racks * hosts_per_rack,
-                capacity_gbps: capacity,
+                capacity_gbps: self.topology.capacity_gbps(),
                 traces: None,
                 injected_drops: 0,
                 sim_end: outcome.sim_end,
+                events_processed: outcome.events_processed,
                 fault_clear: None,
             },
             None,
         ))
-    }
-
-    fn measure_parking(&self, hops: usize) -> Result<(Measured, Option<obs::ObsReport>), RunError> {
-        let run = ParkingRun {
-            hops,
-            mtu: self.mtu,
-            link_gbps: LINK_GBPS,
-            hop_delay: SimDuration::from_micros(25),
-            buffer_bytes: 1_000_000,
-            flows: self.flat_flows(),
-            seed: self.seed,
-            trace_bin: self.trace_bin,
-            fault: self.fault.clone(),
-            max_rto_retries: self.max_rto_retries,
-        };
-        let mut measured = run.run().map_err(RunError::Scenario)?;
-        measured.fault_clear = self.fault_clear;
-        Ok((measured, None))
     }
 }
 
@@ -702,6 +690,46 @@ mod tests {
             .expect("runs");
         assert!(run.passed, "{:?}", run.reports);
         assert_eq!(run.measured.reports.len(), 3);
+    }
+
+    #[test]
+    fn incast_takes_chaos_traces_and_observability() {
+        let run = ScenarioBuilder::new("lossy-incast")
+            .topology(Topology::Incast { senders: 4 })
+            .traffic(Traffic::Mix {
+                flows: 8,
+                mix: vec![(CcaKind::Cubic, 3), (CcaKind::Bbr, 1)],
+                bytes_per_flow: 500_000,
+            })
+            .chaos(ChaosPhase::Loss { prob: 0.01 })
+            .with_trace(SimDuration::from_millis(1))
+            .with_observability()
+            .with_seed(5)
+            .expect_check(Expectation::AbortFree)
+            .build()
+            .expect("valid scenario")
+            .run()
+            .expect("runs");
+        assert!(run.passed, "{:?}", run.reports);
+        assert!(run.measured.injected_drops > 0, "the loss phase bites");
+        assert_eq!(run.measured.traces.map(|(_, t)| t.len()), Some(8));
+        assert!(run.obs.is_some());
+    }
+
+    #[test]
+    fn parking_lot_takes_observability() {
+        let run = ScenarioBuilder::new("observed-lot")
+            .topology(Topology::ParkingLot { hops: 1 })
+            .traffic(Traffic::bulk(CcaKind::Cubic, 1_000_000))
+            .traffic(Traffic::bulk(CcaKind::Cubic, 1_000_000))
+            .with_observability()
+            .build()
+            .expect("valid scenario")
+            .run()
+            .expect("runs");
+        let report = run.obs.expect("observed run yields a report");
+        assert_eq!(report.metrics.counter_total("flows_completed_total"), 2);
+        assert!(report.perfetto_json().contains("bottleneck"));
     }
 
     #[test]

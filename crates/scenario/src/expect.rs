@@ -41,12 +41,28 @@ pub struct Measured {
     pub injected_drops: u64,
     /// Simulated time when the run loop returned.
     pub sim_end: SimTime,
+    /// Events the engine(s) processed: with `sim_end`, the energy bits
+    /// and the retransmits, a determinism fingerprint.
+    pub events_processed: u64,
     /// When the scenario's scheduled fault cleared (flap up-edge), if
     /// one was scheduled. Recovery is measured from here.
     pub fault_clear: Option<SimTime>,
 }
 
 impl Measured {
+    /// Sender energy padded to a `common` window at least as long as
+    /// this run's, its idle hosts drawing base power for the tail (the
+    /// Fig-1 methodology): how comparative checks equalize windows.
+    pub fn padded_energy_j(&self, common: SimDuration) -> f64 {
+        calibration::pad_to_window(
+            self.sender_energy_j,
+            self.window.as_secs_f64(),
+            common.as_secs_f64(),
+            self.n_sender_hosts as f64,
+            0.0,
+        )
+    }
+
     /// Total application bytes acknowledged across all flows.
     pub fn bytes_acked(&self) -> u64 {
         self.reports.iter().map(|r| r.bytes_acked).sum()
@@ -105,19 +121,6 @@ pub fn recovery_times_ns(m: &Measured, band_frac: f64) -> Option<Vec<Option<u64>
             })
             .collect(),
     )
-}
-
-/// Window-equalized sender energies for a comparative check: both runs
-/// padded to the longer window with completed hosts idling at base
-/// power (idle package + fan at zero load), mirroring the Fig-1
-/// methodology. Returns `(self_j, baseline_j)`.
-pub fn equalized_energy_j(m: &Measured, baseline: &Measured) -> (f64, f64) {
-    let base_w = calibration::P_IDLE_W + calibration::reference_fan().watts(0.0);
-    let common = m.window.max(baseline.window).as_secs_f64();
-    let pad = |x: &Measured| {
-        x.sender_energy_j + (common - x.window.as_secs_f64()) * base_w * x.n_sender_hosts as f64
-    };
-    (pad(m), pad(baseline))
 }
 
 /// One typed post-run check.
@@ -293,7 +296,8 @@ impl Expectation {
                         margin: -min_savings_pct,
                     };
                 };
-                let (e, base_e) = equalized_energy_j(m, base);
+                let common = m.window.max(base.window);
+                let (e, base_e) = (m.padded_energy_j(common), base.padded_energy_j(common));
                 let savings = if base_e > 0.0 {
                     100.0 * (base_e - e) / base_e
                 } else {
@@ -421,6 +425,7 @@ mod tests {
             traces: None,
             injected_drops: 0,
             sim_end: SimTime::from_secs(1),
+            events_processed: 0,
             fault_clear: None,
         }
     }
@@ -580,11 +585,8 @@ mod tests {
         m.sender_energy_j = 80.0;
         m.window = SimDuration::from_secs(1);
 
-        let (e, base_e) = equalized_energy_j(&m, &base);
-        assert_eq!(base_e, 100.0, "longer window gets no padding");
-        assert!(e > 80.0, "shorter window is padded with idle energy");
-
-        let expected = 100.0 * (base_e - e) / base_e;
+        let e = 80.0 + calibration::P_IDLE_W * 2.0;
+        let expected = 100.0 * (100.0 - e) / 100.0;
         let r = Expectation::SavingsOrdering {
             min_savings_pct: 2.0,
         }

@@ -34,8 +34,10 @@
 //! * [`builder`] — [`builder::ScenarioBuilder`] composes a topology
 //!   shape (dumbbell, incast, parking lot, rack grid), traffic
 //!   generators, named chaos phases, and expectations into a validated
-//!   [`builder::ScenarioSpec`]; `run()` executes it on the right
-//!   runner and evaluates every expectation.
+//!   [`builder::ScenarioSpec`]; `run()` executes it on the one
+//!   scenario runner, [`workload::scenario::run`] (a rack grid as a
+//!   population of incast racks on it), and evaluates every
+//!   expectation.
 //! * [`traffic`] — [`traffic::Traffic`] generators (bulk,
 //!   request/response RPC, rate-limited video, on/off web, and a
 //!   population CCA mix) compiling down to [`workload::iperf::FlowSpec`]s.
@@ -47,9 +49,6 @@
 //!   [`expect::Measured`] summary, each producing an
 //!   [`expect::ExpectationReport`] with the measured value, the
 //!   target, and the margin.
-//! * [`parking`] — the parking-lot runner (one through flow crossing a
-//!   chain of bottlenecks against per-hop local flows); dumbbell and
-//!   rack-grid scenarios reuse the `workload` runners.
 //! * [`suite`] — named collections of scenarios with a deterministic
 //!   JSON verdict matrix and observability export (time-to-recover
 //!   histogram, per-scenario trace spans).
@@ -64,7 +63,6 @@
 pub mod builder;
 pub mod chaos;
 pub mod expect;
-pub mod parking;
 pub mod suite;
 pub mod traffic;
 

@@ -69,8 +69,8 @@ pub enum Traffic {
         /// Start offset from simulation start.
         start: SimDuration,
     },
-    /// A population CCA mix for rack-grid topologies: `flows` bulk
-    /// transfers of `bytes_per_flow` each, assigned to algorithms by
+    /// A population CCA mix for incast and rack-grid topologies: `flows`
+    /// bulk transfers of `bytes_per_flow` each, assigned to algorithms by
     /// weighted round-robin (see
     /// [`workload::population::PopulationSpec::cca_assignment`]).
     Mix {
@@ -106,8 +106,8 @@ impl Traffic {
     }
 
     /// Compile to flow specs. [`Traffic::Mix`] compiles to nothing here
-    /// — it configures the population runner instead (the builder
-    /// rejects it on flow-level topologies).
+    /// — it configures a population instead (the builder accepts it
+    /// only on `Incast` and `RackGrid`).
     pub fn compile(&self) -> Vec<FlowSpec> {
         match self {
             Traffic::Bulk { cca, bytes, start } => {

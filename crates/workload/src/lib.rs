@@ -2,10 +2,14 @@
 //!
 //! The simulated analogue of the paper's §3 methodology: iperf3-style
 //! bulk flows ([`iperf::FlowSpec`]), background compute load from the
-//! `stress` tool ([`stress::StressLoad`]), and a one-call scenario runner
-//! ([`scenario::run`]) that builds the dumbbell testbed, runs the flows to
-//! completion, and measures per-host energy over the experiment window
-//! with the calibrated RAPL model.
+//! `stress` tool ([`stress::StressLoad`]), and the one scenario runner
+//! ([`scenario::run`]) every topology goes through: it builds the
+//! scenario's network [`scenario::Shape`] (the paper's dumbbell testbed,
+//! an incast rack, or a parking-lot chain), attaches the flows' senders,
+//! runs them to completion, and measures per-host energy over the
+//! experiment window with the calibrated RAPL model. Populations
+//! ([`population`]) shard thousands of flows into incast racks that run
+//! on the same runner.
 //!
 //! ```
 //! use workload::prelude::*;
@@ -33,6 +37,6 @@ pub mod prelude {
         run_population, run_population_with_threads, PopulationError, PopulationFingerprint,
         PopulationOutcome, PopulationSpec,
     };
-    pub use crate::scenario::{run, Scenario, ScenarioError, ScenarioOutcome};
+    pub use crate::scenario::{run, Scenario, ScenarioError, ScenarioOutcome, Shape};
     pub use crate::stress::StressLoad;
 }

@@ -8,34 +8,30 @@
 //! with a CCA mix, staggered arrivals, and a rack grid: `racks`
 //! independent incast cells of `hosts_per_rack` sender hosts, each host
 //! kernel-multiplexing its share of flows behind one
-//! [`transport::mux::MuxSender`].
+//! [`transport::mux::MuxSender`]. Each rack is an incast
+//! [`Scenario`] ([`rack_scenarios`]) run by the one scenario runner,
+//! [`crate::scenario::run`].
 //!
 //! ## Determinism under parallelism
 //!
 //! Racks share no links, so each rack is an isolated simulation — a pure
-//! function of its plan (a `Send`-able value type). That is the whole
-//! parallelism story: [`run_population_with_threads`] hands complete
-//! racks to worker threads, each worker builds and runs its own
+//! function of its scenario (a `Send`-able value type). That is the
+//! whole parallelism story: [`run_population_with_threads`] hands
+//! complete racks to worker threads, each worker builds and runs its own
 //! `Network` locally, and outcomes are merged in rack-index order. The
 //! merged result is therefore bit-identical for *any* thread count,
 //! including 1 — the engine's `(at, seq)` event order inside each rack
 //! is never touched. The golden fingerprint tests pin this.
 
-use crate::iperf::FlowReport;
-use crate::scenario::ScenarioError;
-use cca::{CcaConfig, CcaKind};
-use energy::calibration::{self, PACING_PPS_BONUS};
-use energy::host::HostContext;
-use energy::meter::EnergyMeter;
-use netsim::engine::{Network, RunOutcome};
+use crate::iperf::{FlowReport, FlowSpec};
+use crate::scenario::{self, Scenario, ScenarioError, ScenarioOutcome, Shape};
+use cca::CcaKind;
 use netsim::ids::FlowId;
-use netsim::packet::HEADER_BYTES;
 use netsim::time::{SimDuration, SimTime};
-use netsim::topology::{BottleneckQueue, Incast, IncastConfig};
-use netsim::units::Rate;
-use transport::mux::MuxSender;
-use transport::receiver::TcpReceiver;
-use transport::sender::{TcpSender, TcpSenderConfig};
+
+/// Upper bound on each flow's random start jitter on top of the arrival
+/// ramp, drawn from the owning rack's seeded stream.
+const START_JITTER: SimDuration = SimDuration::from_micros(200);
 
 /// A population of bulk flows over a grid of independent rack cells.
 #[derive(Clone, Debug)]
@@ -54,9 +50,6 @@ pub struct PopulationSpec {
     /// `spread * f / total`), modelling staggered client arrivals
     /// rather than a synchronized stampede.
     pub arrival_spread: SimDuration,
-    /// Per-flow random start jitter on top of the ramp, drawn from the
-    /// owning rack's seeded stream. `ZERO` disables.
-    pub start_jitter: SimDuration,
     /// Number of independent rack cells.
     pub racks: usize,
     /// Sender hosts per rack (the incast fan-in).
@@ -67,19 +60,11 @@ pub struct PopulationSpec {
     pub hop_delay: SimDuration,
     /// Bottleneck (switch -> receiver) buffer per rack, in bytes.
     pub buffer_bytes: u64,
-    /// Buffer on non-bottleneck links, in bytes.
-    pub edge_buffer_bytes: u64,
-    /// LAG width for every rack link (see [`IncastConfig::bond_links`]).
+    /// LAG width for every rack link (see [`Shape::Incast`]).
     /// The default of 2 mirrors the dumbbell's bonded sender NICs and
     /// produces the same-nanosecond delivery ties the engine's batched
     /// dispatch coalesces.
     pub bond_links: usize,
-    /// Host packet-processing ceiling in packets/sec (`None` disables).
-    /// Off by default for populations: the ceiling models a single
-    /// iperf socket's host, which a 20-flow multiplexed sender is not,
-    /// and per-sub gaps would serialize the burst emission that feeds
-    /// batched dispatch.
-    pub host_pps_cap: Option<f64>,
     /// Bin width for energy activity integration.
     pub activity_bin: SimDuration,
     /// Master RNG seed; each rack derives an isolated stream from it.
@@ -87,7 +72,8 @@ pub struct PopulationSpec {
     /// Same-timestamp delivery batching in the engine (on by default;
     /// the equivalence tests flip it off to pin bit-identity).
     pub delivery_batching: bool,
-    /// Hard simulated-time limit per rack (`None` = derived default).
+    /// Hard simulated-time limit per rack (`None` = the scenario
+    /// runner's derived default).
     pub time_limit: Option<SimTime>,
 }
 
@@ -107,15 +93,12 @@ impl PopulationSpec {
             mix,
             bytes_per_flow: 1_000_000,
             arrival_spread: SimDuration::from_millis(20),
-            start_jitter: SimDuration::from_micros(200),
             racks: 8,
             hosts_per_rack: 8,
             link_gbps: 10.0,
             hop_delay: SimDuration::from_micros(25),
             buffer_bytes: 1_000_000,
-            edge_buffer_bytes: 4_000_000,
             bond_links: 2,
-            host_pps_cap: None,
             activity_bin: SimDuration::from_millis(1),
             seed: 1,
             delivery_batching: true,
@@ -201,57 +184,6 @@ impl PopulationSpec {
         }
         out
     }
-
-    /// Derived per-rack time limit: 20x the rack's ideal transfer time
-    /// plus the arrival ramp and a constant for RTO-heavy tails (the
-    /// same shape as the scenario runner's default).
-    fn default_time_limit(&self, rack_bytes: u64) -> SimTime {
-        let ideal = rack_bytes as f64 * 8.0 / (self.link_gbps * 1e9);
-        SimTime::from_secs_f64(20.0 * ideal + self.arrival_spread.as_secs_f64() + 30.0)
-    }
-}
-
-/// One flow inside a rack plan: everything a worker needs to build it.
-#[derive(Clone, Copy, Debug)]
-struct PlanFlow {
-    /// Global flow id (population-wide, sparse within one rack).
-    flow: u32,
-    cca: CcaKind,
-    bytes: u64,
-    /// Deterministic arrival-ramp offset (jitter is added rack-side).
-    start: SimDuration,
-}
-
-/// A complete, `Send`-able description of one rack's simulation. The
-/// rack outcome is a pure function of this value — the contract that
-/// makes worker-thread execution safe.
-#[derive(Clone, Debug)]
-struct RackPlan {
-    rack: usize,
-    seed: u64,
-    mtu: u32,
-    hosts: usize,
-    link_gbps: f64,
-    hop_delay: SimDuration,
-    buffer_bytes: u64,
-    edge_buffer_bytes: u64,
-    bond_links: usize,
-    host_pps_cap: Option<f64>,
-    activity_bin: SimDuration,
-    start_jitter: SimDuration,
-    delivery_batching: bool,
-    time_limit: SimTime,
-    /// Rack-local flow list, in rack-local order.
-    flows: Vec<PlanFlow>,
-}
-
-/// What one rack produced (merged by the population runner).
-struct RackOutcome {
-    reports: Vec<FlowReport>,
-    sender_energy_j: f64,
-    receiver_energy_j: f64,
-    counters: netsim::engine::EngineCounters,
-    sim_end: SimTime,
 }
 
 /// Why a population run failed.
@@ -387,17 +319,6 @@ impl PopulationOutcome {
             })
             .collect()
     }
-
-    /// Jain fairness index over per-flow mean goodputs.
-    pub fn jain_fairness(&self) -> f64 {
-        let xs: Vec<f64> = self.reports.iter().map(|r| r.mean_goodput.gbps()).collect();
-        let sum: f64 = xs.iter().sum();
-        let sq: f64 = xs.iter().map(|x| x * x).sum();
-        if sq == 0.0 {
-            return 1.0;
-        }
-        (sum * sum) / (xs.len() as f64 * sq)
-    }
 }
 
 /// Derive the isolated per-rack seed: a splitmix-style scramble of the
@@ -410,261 +331,57 @@ fn rack_seed(master: u64, rack: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Shard the population into per-rack plans. Flow `f` lands on rack
-/// `f % racks` (even CCA mix per rack) and, within the rack, on host
-/// `local_index % hosts` — both pure functions of the spec.
-fn build_plans(spec: &PopulationSpec) -> Vec<RackPlan> {
-    let ccas = spec.cca_assignment();
+/// Shard the population into one incast [`Scenario`] per non-empty
+/// rack, in rack order. Flow `f` lands on rack `f % racks` (even CCA mix
+/// per rack) as that rack's flow `f / racks`, so the empty racks are
+/// exactly the trailing ones. Each rack carries its own seed, and its
+/// flows' arrival-ramp offsets plus a start jitter drawn from the rack
+/// seed's `'popu'` stream: a pure function of the spec.
+pub fn rack_scenarios(spec: &PopulationSpec) -> Vec<Scenario> {
     let spread_ns = spec.arrival_spread.as_nanos();
-    let mut plans: Vec<RackPlan> = (0..spec.racks)
-        .map(|rack| RackPlan {
-            rack,
-            seed: rack_seed(spec.seed, rack),
-            mtu: spec.mtu,
-            hosts: spec.hosts_per_rack,
-            link_gbps: spec.link_gbps,
-            hop_delay: spec.hop_delay,
-            buffer_bytes: spec.buffer_bytes,
-            edge_buffer_bytes: spec.edge_buffer_bytes,
-            bond_links: spec.bond_links,
-            host_pps_cap: spec.host_pps_cap,
-            activity_bin: spec.activity_bin,
-            start_jitter: spec.start_jitter,
-            delivery_batching: spec.delivery_batching,
-            time_limit: SimTime::ZERO, // filled below, once rack bytes are known
-            flows: Vec::new(),
-        })
-        .collect();
-    for f in 0..spec.total_flows {
+    let mut racks: Vec<Vec<FlowSpec>> = vec![Vec::new(); spec.racks];
+    for (f, cca) in spec.cca_assignment().into_iter().enumerate() {
         let start_ns = spread_ns * f as u64 / spec.total_flows as u64;
-        plans[f % spec.racks].flows.push(PlanFlow {
-            flow: f as u32,
-            cca: ccas[f],
-            bytes: spec.bytes_per_flow,
-            start: SimDuration::from_nanos(start_ns),
-        });
-    }
-    plans.retain(|p| !p.flows.is_empty());
-    for plan in &mut plans {
-        let rack_bytes: u64 = plan.flows.iter().map(|f| f.bytes).sum();
-        plan.time_limit = spec
-            .time_limit
-            .unwrap_or_else(|| spec.default_time_limit(rack_bytes));
-    }
-    plans
-}
-
-/// Build and run one rack cell to completion. Pure in `plan`: no global
-/// state, no host clock, no cross-rack references — the worker-thread
-/// contract.
-fn run_rack(plan: &RackPlan) -> Result<RackOutcome, PopulationError> {
-    let rack = plan.rack;
-    let mss = plan.mtu - HEADER_BYTES;
-    let mut net = Network::new(plan.seed);
-    net.set_delivery_batching(plan.delivery_batching);
-    net.enable_activity(plan.activity_bin);
-    let cfg = IncastConfig {
-        fan_in: plan.hosts,
-        edge_rate: Rate::from_gbps(plan.link_gbps),
-        bottleneck_rate: Rate::from_gbps(plan.link_gbps),
-        hop_delay: plan.hop_delay,
-        bond_links: plan.bond_links,
-        bottleneck_queue: BottleneckQueue::DropTail {
-            capacity_bytes: plan.buffer_bytes,
-        },
-        edge_buffer_bytes: plan.edge_buffer_bytes,
-    };
-    let cell = Incast::build(&mut net, &cfg);
-
-    // simlint::allow(rng-discipline, reason = "named stream: rack seed XOR 'popu' salt; rack-local so jitter draws are identical for any thread count or rack subset")
-    let mut jitter_rng = netsim::rng::SimRng::new(plan.seed ^ 0x706f_7075);
-    let jitters: Vec<SimDuration> = plan
-        .flows
-        .iter()
-        .map(|_| {
-            let ns = if plan.start_jitter.is_zero() {
-                0
-            } else {
-                jitter_rng.next_below(plan.start_jitter.as_nanos())
-            };
-            SimDuration::from_nanos(ns)
-        })
-        .collect();
-
-    // Path capacity for the constant-cwnd baseline module, mirroring the
-    // scenario runner's sizing against BDP + bottleneck buffer.
-    let rtt = plan.hop_delay.as_secs_f64() * 4.0;
-    let bdp = (plan.link_gbps * 1e9 / 8.0 * rtt) as u64;
-    let baseline_cwnd =
-        ((bdp + plan.buffer_bytes) as f64 * crate::scenario::BASELINE_CWND_FACTOR) as u64;
-    let cca_cfg = CcaConfig::new(mss).with_baseline_cwnd(baseline_cwnd);
-
-    // Round-robin flows onto hosts; each host multiplexes its share.
-    let mut host_flows: Vec<Vec<usize>> = vec![Vec::new(); plan.hosts];
-    for (l, _) in plan.flows.iter().enumerate() {
-        host_flows[l % plan.hosts].push(l);
-    }
-    for (h, locals) in host_flows.iter().enumerate() {
-        if locals.is_empty() {
-            continue;
-        }
-        let subs: Vec<TcpSender> = locals
-            .iter()
-            .map(|&l| {
-                let f = &plan.flows[l];
-                let cc = f.cca.build(&cca_cfg);
-                let min_gap = plan
-                    .host_pps_cap
-                    .map(|pps| {
-                        let pps = if cc.uses_pacing() {
-                            pps * PACING_PPS_BONUS
-                        } else {
-                            pps
-                        };
-                        SimDuration::from_secs_f64(1.0 / pps)
-                    })
-                    .unwrap_or(SimDuration::ZERO);
-                let cfg = TcpSenderConfig::bulk(
-                    FlowId::from_raw(f.flow),
-                    cell.receiver,
-                    plan.mtu,
-                    f.bytes,
-                )
-                .with_min_pkt_gap(min_gap)
-                .with_rtt_hint(plan.hop_delay * 4)
-                .with_start_delay(f.start + jitters[l]);
-                TcpSender::new(cfg, cc)
-            })
-            .collect();
-        net.attach_agent(cell.senders[h], Box::new(MuxSender::new(subs)));
-    }
-    let policy = if plan.flows.iter().any(|f| f.cca == CcaKind::Dctcp) {
-        CcaKind::Dctcp.ack_policy()
-    } else {
-        CcaKind::Cubic.ack_policy()
-    };
-    net.attach_agent(cell.receiver, Box::new(TcpReceiver::new(policy)));
-
-    match net.run_until(plan.time_limit) {
-        RunOutcome::Stalled => {
-            return Err(PopulationError::Rack {
-                rack,
-                error: ScenarioError::Stalled { at: net.now() },
-            })
-        }
-        RunOutcome::Drained
-        | RunOutcome::Stopped
-        | RunOutcome::TimeLimit
-        | RunOutcome::DeadlineExceeded => {}
-    }
-
-    // Per-flow reports, in rack-local order (the merger re-sorts).
-    let mut reports = Vec::with_capacity(plan.flows.len());
-    for (h, locals) in host_flows.iter().enumerate() {
-        let Some(mux) = net.agent::<MuxSender>(cell.senders[h]) else {
-            continue; // host had no flows
-        };
-        for (j, &l) in locals.iter().enumerate() {
-            let f = &plan.flows[l];
-            let flow = FlowId::from_raw(f.flow);
-            let stats = mux.sub(j).stats();
-            let terminal_at = match (stats.completed_at, stats.aborted_at) {
-                (Some(done), _) => done,
-                (None, Some(gave_up)) => gave_up,
-                (None, None) => {
-                    return Err(PopulationError::Rack {
-                        rack,
-                        error: ScenarioError::Incomplete {
-                            flow,
-                            limit: plan.time_limit,
-                        },
-                    })
-                }
-            };
-            let Some(started_at) = stats.started_at else {
-                return Err(PopulationError::Rack {
-                    rack,
-                    error: ScenarioError::Incomplete {
-                        flow,
-                        limit: plan.time_limit,
-                    },
-                });
-            };
-            let fct = terminal_at.saturating_since(started_at);
-            reports.push(FlowReport {
-                flow,
-                cca: f.cca,
-                outcome: stats.outcome(),
-                bytes: f.bytes,
-                bytes_acked: stats.bytes_acked,
-                started_at,
-                completed_at: terminal_at,
-                fct,
-                mean_goodput: netsim::units::average_rate(stats.bytes_acked, fct),
-                retransmits: stats.retx_segs,
-                rtos: stats.rto_count,
-                segs_sent: stats.segs_sent,
-                acks_processed: stats.acks_processed,
-                compute_cost_factor: mux.sub(j).compute_cost_factor(),
-            });
+        if let Some(rack) = racks.get_mut(f % spec.racks) {
+            rack.push(
+                FlowSpec::bulk(cca, spec.bytes_per_flow)
+                    .with_start_delay(SimDuration::from_nanos(start_ns)),
+            );
         }
     }
-
-    // Energy over [0, last terminal time in the rack], per sender host
-    // with the CC cost weighted by each resident flow's ack share (the
-    // scenario runner's colocated-sender accounting).
-    let window_end = reports
-        .iter()
-        .map(|r| r.completed_at)
-        .max()
-        .unwrap_or(SimTime::ZERO);
-    let window = window_end.saturating_since(SimTime::ZERO);
-    let meter = EnergyMeter::new(calibration::reference_host_model());
-    let ref_cost = calibration::cc_cost_per_ack_ref_j();
-    let mut sender_energy_j = 0.0;
-    let mut receiver_energy_j = 0.0;
-    if let Some(activity) = net.activity() {
-        // Walk hosts in rack order so float summation order is fixed.
-        let mut base = 0usize;
-        for (h, locals) in host_flows.iter().enumerate() {
-            if locals.is_empty() {
-                continue;
+    racks
+        .into_iter()
+        .take_while(|flows| !flows.is_empty())
+        .enumerate()
+        .map(|(rack, mut flows)| {
+            let seed = rack_seed(spec.seed, rack);
+            // simlint::allow(rng-discipline, reason = "named stream: rack seed XOR 'popu' salt; rack-local so jitter draws are identical for any thread count or rack subset")
+            let mut jitter_rng = netsim::rng::SimRng::new(seed ^ 0x706f_7075);
+            for flow in &mut flows {
+                let jitter = jitter_rng.next_below(START_JITTER.as_nanos());
+                flow.start_delay += SimDuration::from_nanos(jitter);
             }
-            let Some(host_reports) = reports.get(base..base + locals.len()) else {
-                debug_assert!(false, "host report slice out of range");
-                continue;
-            };
-            base += locals.len();
-            let total_acks: u64 = host_reports.iter().map(|r| r.acks_processed).sum();
-            let weighted_factor = if total_acks == 0 {
-                0.0
-            } else {
-                host_reports
-                    .iter()
-                    .map(|r| r.compute_cost_factor * r.acks_processed as f64)
-                    .sum::<f64>()
-                    / total_acks as f64
-            };
-            let ctx = HostContext {
-                background_util: 0.0,
-                cc_cost_per_ack_j: ref_cost * weighted_factor,
-            };
-            sender_energy_j += meter
-                .measure_host(activity, cell.senders[h], window, ctx)
-                .joules;
-        }
-        receiver_energy_j = meter
-            .measure_host(activity, cell.receiver, window, HostContext::default())
-            .joules;
-    }
-
-    Ok(RackOutcome {
-        reports,
-        sender_energy_j,
-        receiver_energy_j,
-        counters: net.counters(),
-        sim_end: net.now(),
-    })
+            // No pps ceiling: it models a single iperf socket's host,
+            // which a many-flow multiplexed sender is not, and per-sub
+            // gaps would serialize the bursts batched dispatch feeds on.
+            let mut rack = Scenario::new(spec.mtu, flows)
+                .with_shape(Shape::Incast {
+                    senders: spec.hosts_per_rack,
+                    bond_links: spec.bond_links,
+                })
+                .with_seed(seed)
+                .with_delivery_batching(spec.delivery_batching);
+            rack.link_gbps = spec.link_gbps;
+            rack.hop_delay = spec.hop_delay;
+            rack.buffer_bytes = spec.buffer_bytes;
+            rack.activity_bin = spec.activity_bin;
+            rack.power_series = false;
+            rack.host_pps_cap = None;
+            rack.start_jitter = SimDuration::ZERO;
+            rack.time_limit = spec.time_limit;
+            rack
+        })
+        .collect()
 }
 
 /// Run a population single-threaded. Identical result to
@@ -675,39 +392,39 @@ pub fn run_population(spec: &PopulationSpec) -> Result<PopulationOutcome, Popula
 
 /// Run a population with `threads` worker threads, whole racks per
 /// worker, merged in rack-index order. Because every rack is a pure
-/// function of its plan, the outcome is bit-identical for any
+/// function of its scenario, the outcome is bit-identical for any
 /// `threads >= 1`.
 pub fn run_population_with_threads(
     spec: &PopulationSpec,
     threads: usize,
 ) -> Result<PopulationOutcome, PopulationError> {
-    let plans = build_plans(spec);
-    let threads = threads.clamp(1, plans.len().max(1));
+    let racks = rack_scenarios(spec);
+    let threads = threads.clamp(1, racks.len().max(1));
     // simlint::allow(wall-clock, reason = "events_per_sec reporting only; the reading never feeds back into simulated state")
     let t0 = std::time::Instant::now();
-    let mut slots: Vec<Option<Result<RackOutcome, PopulationError>>> =
-        (0..plans.len()).map(|_| None).collect();
+    let mut slots: Vec<Option<Result<ScenarioOutcome, ScenarioError>>> =
+        (0..racks.len()).map(|_| None).collect();
     if threads <= 1 {
-        for (i, plan) in plans.iter().enumerate() {
-            slots[i] = Some(run_rack(plan));
+        for (slot, rack) in slots.iter_mut().zip(&racks) {
+            *slot = Some(scenario::run(rack));
         }
     } else {
         // Striped static assignment: worker w runs racks w, w+T, w+2T...
         // Assignment affects only wall time, never results — each rack
-        // is a pure function of its plan and the merge below is in rack
-        // order regardless of which worker ran it.
+        // is a pure function of its scenario and the merge below is in
+        // rack order regardless of which worker ran it.
         let joined = std::thread::scope(|s| {
-            let plans = &plans;
+            let racks = &racks;
             let handles: Vec<_> = (0..threads)
                 .map(|w| {
                     s.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut i = w;
-                        while i < plans.len() {
-                            out.push((i, run_rack(&plans[i])));
-                            i += threads;
-                        }
-                        out
+                        racks
+                            .iter()
+                            .enumerate()
+                            .skip(w)
+                            .step_by(threads)
+                            .map(|(i, rack)| (i, scenario::run(rack)))
+                            .collect::<Vec<_>>()
                     })
                 })
                 .collect();
@@ -721,13 +438,16 @@ pub fn run_population_with_threads(
                 return Err(PopulationError::Worker { worker: w });
             };
             for (i, r) in list {
-                slots[i] = Some(r);
+                if let Some(slot) = slots.get_mut(i) {
+                    *slot = Some(r);
+                }
             }
         }
     }
     let wall = t0.elapsed();
 
-    // Deterministic merge: rack-index order, then global flow order.
+    // Deterministic merge in rack order; rack-local flow ids map back
+    // to global ones, then reports sort into global flow order.
     let mut reports = Vec::with_capacity(spec.total_flows);
     let mut sender_energy_j = 0.0;
     let mut receiver_energy_j = 0.0;
@@ -739,21 +459,24 @@ pub fn run_population_with_threads(
     let mut migrations = 0u64;
     let mut sim_end = SimTime::ZERO;
     let racks_run = slots.len();
-    for (w, slot) in slots.into_iter().enumerate() {
+    for (rack, slot) in slots.into_iter().enumerate() {
         let Some(result) = slot else {
-            return Err(PopulationError::Worker { worker: w });
+            return Err(PopulationError::Worker { worker: rack });
         };
-        let rack = result?;
-        reports.extend(rack.reports);
-        sender_energy_j += rack.sender_energy_j;
-        receiver_energy_j += rack.receiver_energy_j;
-        events_processed += rack.counters.events_processed;
-        dispatch_batches += rack.counters.dispatch_batches;
-        batched_pkts += rack.counters.batched_pkts;
-        wheel_pushes += rack.counters.sched.wheel_pushes;
-        heap_pushes += rack.counters.sched.heap_pushes;
-        migrations += rack.counters.sched.migrations;
-        sim_end = sim_end.max(rack.sim_end);
+        let out = result.map_err(|error| PopulationError::Rack { rack, error })?;
+        reports.extend(out.reports.into_iter().map(|mut r| {
+            r.flow = FlowId::from_raw((rack + r.flow.index() * spec.racks) as u32);
+            r
+        }));
+        sender_energy_j += out.sender_energy_j;
+        receiver_energy_j += out.receiver_energy_j;
+        events_processed += out.engine.events_processed;
+        dispatch_batches += out.engine.dispatch_batches;
+        batched_pkts += out.engine.batched_pkts;
+        wheel_pushes += out.engine.sched.wheel_pushes;
+        heap_pushes += out.engine.sched.heap_pushes;
+        migrations += out.engine.sched.migrations;
+        sim_end = sim_end.max(out.sim_end);
     }
     reports.sort_by_key(|r| r.flow.index());
     Ok(PopulationOutcome {
@@ -862,7 +585,8 @@ mod tests {
     #[test]
     fn fairness_helpers_are_sane() {
         let out = run_population(&tiny_spec()).expect("population completes");
-        let jain = out.jain_fairness();
+        let goodputs: Vec<f64> = out.reports.iter().map(|r| r.mean_goodput.gbps()).collect();
+        let jain = analysis::fairness::jain_index(&goodputs);
         assert!((0.0..=1.0).contains(&jain), "jain={jain}");
         let by_cca = out.goodput_by_cca();
         assert_eq!(by_cca.len(), 2);

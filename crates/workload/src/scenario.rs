@@ -1,12 +1,29 @@
-//! Scenario construction and execution: the paper's testbed in a box.
+//! Scenario construction and execution: the paper's testbed in a box,
+//! and the one runner every network shape goes through.
 //!
-//! A [`Scenario`] is one run of the experiment machinery: the dumbbell
-//! topology (10 Gb/s bottleneck, bonded sender uplinks), one sender host
-//! **per flow** — matching the paper's per-socket energy accounting, where
-//! each iperf3 flow's power is attributable to its own CPU package — a
-//! shared receiver host, the flows themselves, optional background
-//! compute load, and the energy measurement window ("from when the
-//! experiment began until both flows successfully completed", §1).
+//! A [`Scenario`] is one run: a network [`Shape`] (the paper's dumbbell
+//! by default), the flows, optional background compute load, and the
+//! energy measurement window ("from when the experiment began until
+//! both flows successfully completed", §1). [`run`] takes every shape
+//! down the same pipeline:
+//!
+//! 1. **build** — the shape compiles through [`netsim::topology`] into
+//!    host roles: flow `l` runs on sender host `l % senders`, each flow
+//!    has a receiver and a base RTT, the longest path sizes the
+//!    baseline cwnd, and the bottleneck link(s) carry the fault.
+//! 2. **attach** — a sender host with one flow runs a bare
+//!    [`TcpSender`], matching the paper's per-socket accounting (each
+//!    iperf3 flow's power is attributable to its own CPU package); a
+//!    host with several flows multiplexes them behind a [`MuxSender`].
+//! 3. **run** — until the network drains, the time limit, the stall
+//!    watchdog or the wall-clock deadline.
+//! 4. **report** — one [`FlowReport`] per flow, in flow order.
+//! 5. **meter** — RAPL-style reads per host over `[0, last terminal
+//!    time]`. A one-flow host carries its flow's CC cost factor; a
+//!    multiplexed host the ack-weighted mean of its flows' factors.
+//!
+//! Population racks ([`crate::population`]) are incast scenarios run
+//! through this same pipeline.
 
 use crate::iperf::{FlowReport, FlowSpec};
 use crate::stress::StressLoad;
@@ -16,10 +33,12 @@ use energy::host::HostContext;
 use energy::meter::{EnergyMeter, EnergyReading};
 use netsim::engine::{EngineCounters, Network, RunOutcome};
 use netsim::fault::FaultSpec;
-use netsim::ids::FlowId;
+use netsim::ids::{FlowId, LinkId, NodeId};
 use netsim::packet::HEADER_BYTES;
 use netsim::time::{SimDuration, SimTime};
-use netsim::topology::{BottleneckQueue, Dumbbell, DumbbellConfig};
+use netsim::topology::{
+    BottleneckQueue, Dumbbell, DumbbellConfig, Incast, IncastConfig, ParkingLot, ParkingLotConfig,
+};
 use netsim::units::Rate;
 use obs::{
     FlowEvent, Labels, NoopRecorder, ObsRecorder, ObsReport, Recorder, SharedRecorder, TrackKind,
@@ -34,9 +53,24 @@ use transport::sender::{TcpSender, TcpSenderConfig};
 /// capacity (BDP + bottleneck buffer). 1.4x keeps the sender permanently
 /// overshooting — bursty and lossy (~11% retransmissions) but still
 /// progressing through SACK/RACK recovery — which lands its energy
-/// penalty in the paper's 8.2-14.2% band (§4.3) — bursty, lossy, but still making progress through SACK
-/// recovery, like the paper's §4.3 runs.
+/// penalty in the paper's 8.2-14.2% band (§4.3).
 pub const BASELINE_CWND_FACTOR: f64 = 1.40;
+
+/// Buffer on every non-bottleneck link (host uplinks, downlinks and the
+/// ack path), in bytes: deep enough never to drop.
+const EDGE_BUFFER_BYTES: u64 = 4_000_000;
+
+/// Engine stall watchdog budget: abort the run if this many events are
+/// processed without a single packet delivered to a host. Fault-free
+/// runs deliver packets every handful of events, and even a fully
+/// backed-off sender generates only a few timer events per RTO, so a
+/// genuine run never comes close; only a livelocked event loop does.
+const STALL_BUDGET_EVENTS: u64 = 2_000_000;
+
+/// At most this many per-flow energy samples enter a flow's flight
+/// ring: power bins arrive every millisecond and would otherwise evict
+/// the cwnd/loss/RTO history the ring exists to keep.
+const MAX_FLIGHT_ENERGY_SAMPLES: usize = 64;
 
 /// How much observability a run carries.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -54,23 +88,49 @@ pub enum Observe {
     Full,
 }
 
-/// At most this many per-flow energy samples enter a flow's flight
-/// ring: power bins arrive every millisecond and would otherwise evict
-/// the cwnd/loss/RTO history the ring exists to keep.
-const MAX_FLIGHT_ENERGY_SAMPLES: usize = 64;
+/// The network a scenario runs on. Every link runs at
+/// [`Scenario::link_gbps`] with [`Scenario::hop_delay`] of propagation;
+/// bottleneck links hold [`Scenario::buffer_bytes`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Shape {
+    /// The paper's testbed: sender hosts on 2-link bonded uplinks, one
+    /// switch, one bottleneck to one receiver. One sender host per flow,
+    /// or one for all with [`Scenario::colocate_senders`].
+    #[default]
+    Dumbbell,
+    /// One rack: `senders` hosts fanning into one receiver, every link a
+    /// `bond_links`-wide port channel (see [`IncastConfig::bond_links`]).
+    /// Sender hosts beyond the flow count stay idle and unmetered.
+    Incast {
+        /// Sender hosts fanning into the rack switch.
+        senders: usize,
+        /// LAG width of every rack link.
+        bond_links: usize,
+    },
+    /// A chain of `hops` bottlenecks: flow 0 crosses all of them and
+    /// flow `1 + i` is local to hop `i`, so it takes `hops + 1` flows,
+    /// each on its own sender host. The fault sits on the first chain
+    /// link, the one every through packet crosses.
+    ParkingLot {
+        /// Bottleneck links in the chain.
+        hops: usize,
+    },
+}
 
 /// One experiment run.
 #[derive(Clone, Debug)]
 pub struct Scenario {
+    /// The network shape.
+    pub shape: Shape,
     /// MTU in bytes (wire size of a full segment).
     pub mtu: u32,
-    /// Bottleneck rate in Gb/s (the paper's is 10).
+    /// Link rate in Gb/s (the paper's bottleneck is 10).
     pub link_gbps: f64,
     /// Per-hop propagation delay.
     pub hop_delay: SimDuration,
-    /// Bottleneck buffer in bytes.
+    /// Buffer per bottleneck link, in bytes.
     pub buffer_bytes: u64,
-    /// The flows; each gets its own sender host.
+    /// The flows; see [`Shape`] for which host carries which.
     pub flows: Vec<FlowSpec>,
     /// Background compute load on every sender host.
     pub background_load: StressLoad,
@@ -80,14 +140,19 @@ pub struct Scenario {
     pub trace_bin: Option<SimDuration>,
     /// Bin width for energy activity integration.
     pub activity_bin: SimDuration,
+    /// Per-host power series in [`ScenarioOutcome::sender_power_series_w`]
+    /// (on by default, and always recorded when observability is on).
+    /// Population racks turn it off: their merge keeps only the energy
+    /// totals.
+    pub power_series: bool,
     /// Host packet-processing ceiling in packets/sec (`None` disables).
     pub host_pps_cap: Option<f64>,
     /// Hard simulated-time limit (safety net against livelock).
     pub time_limit: Option<SimTime>,
-    /// Put every flow on ONE sender host (kernel multiplexing) instead of
-    /// one host per flow. The paper's §5 asks how the unfairness savings
-    /// behave in this regime: per-socket power then depends on the
-    /// aggregate rate only.
+    /// On a dumbbell, put every flow on ONE sender host (kernel
+    /// multiplexing) instead of one host per flow. The paper's §5 asks
+    /// how the unfairness savings behave in this regime: per-socket
+    /// power then depends on the aggregate rate only.
     pub colocate_senders: bool,
     /// Upper bound on the per-flow random start jitter drawn from the
     /// scenario seed. Real iperf3 processes never start nanosecond-
@@ -121,20 +186,15 @@ pub struct Scenario {
     pub delivery_batching: bool,
 }
 
-/// Engine stall watchdog budget: abort the run if this many events are
-/// processed without a single packet delivered to a host. Fault-free
-/// runs deliver packets every handful of events, and even a fully
-/// backed-off sender generates only a few timer events per RTO, so a
-/// genuine run never comes close; only a livelocked event loop does.
-const STALL_BUDGET_EVENTS: u64 = 2_000_000;
-
 impl Scenario {
-    /// The paper's testbed defaults: 10 Gb/s, ~100 µs base RTT, 1 MB
-    /// drop-tail bottleneck buffer, calibrated host pps ceiling.
+    /// The paper's testbed defaults: a dumbbell at 10 Gb/s, ~100 µs base
+    /// RTT, 1 MB drop-tail bottleneck buffer, calibrated host pps
+    /// ceiling.
     pub fn new(mtu: u32, flows: Vec<FlowSpec>) -> Self {
         assert!(mtu > HEADER_BYTES, "MTU must exceed header size");
         assert!(!flows.is_empty(), "need at least one flow");
         Scenario {
+            shape: Shape::Dumbbell,
             mtu,
             link_gbps: 10.0,
             hop_delay: SimDuration::from_micros(25),
@@ -144,6 +204,7 @@ impl Scenario {
             seed: 1,
             trace_bin: None,
             activity_bin: SimDuration::from_millis(1),
+            power_series: true,
             host_pps_cap: Some(MAX_HOST_PPS),
             time_limit: None,
             colocate_senders: false,
@@ -155,6 +216,12 @@ impl Scenario {
             pkt_log_capacity: None,
             delivery_batching: true,
         }
+    }
+
+    /// Set the network shape.
+    pub fn with_shape(mut self, shape: Shape) -> Self {
+        self.shape = shape;
+        self
     }
 
     /// Set the RNG seed.
@@ -226,22 +293,32 @@ impl Scenario {
         self
     }
 
-    /// Path bandwidth-delay product in bytes (excluding queueing).
-    pub fn bdp_bytes(&self) -> u64 {
-        let rtt = self.hop_delay.as_secs_f64() * 4.0;
-        (self.link_gbps * 1e9 / 8.0 * rtt) as u64
-    }
-
-    fn uses_dctcp(&self) -> bool {
-        self.flows.iter().any(|f| f.cca == CcaKind::Dctcp)
-    }
-
     /// DCTCP's marking threshold K: the classic guidance is ~65 packets
     /// at 10 Gb/s with 1500-byte frames; we scale by MTU with a floor.
     fn dctcp_k_bytes(&self) -> u64 {
         (65 * self.mtu as u64)
             .min(self.buffer_bytes / 2)
             .max(30_000)
+    }
+
+    fn uses_dctcp(&self) -> bool {
+        self.flows.iter().any(|f| f.cca == CcaKind::Dctcp)
+    }
+
+    /// Every bottleneck's discipline: step ECN marking when any flow is
+    /// DCTCP (the paper never mixes DCTCP with non-ECN algorithms),
+    /// drop-tail otherwise.
+    fn bottleneck_queue(&self) -> BottleneckQueue {
+        if self.uses_dctcp() {
+            BottleneckQueue::EcnThreshold {
+                capacity_bytes: self.buffer_bytes,
+                mark_bytes: self.dctcp_k_bytes(),
+            }
+        } else {
+            BottleneckQueue::DropTail {
+                capacity_bytes: self.buffer_bytes,
+            }
+        }
     }
 
     fn default_time_limit(&self) -> SimTime {
@@ -262,6 +339,118 @@ impl Scenario {
         // Generous: 20x the ideal plus a constant for RTO-heavy runs.
         SimTime::from_secs_f64(20.0 * slowest.max(aggregate) + 30.0)
     }
+
+    /// Build the shape into `net` and describe its host roles.
+    fn build_shape(&self, net: &mut Network) -> Result<Roles, ScenarioError> {
+        let n = self.flows.len();
+        if n == 0 {
+            return Err(ScenarioError::Invalid(
+                "a scenario needs at least one flow".into(),
+            ));
+        }
+        let rate = Rate::from_gbps(self.link_gbps);
+        let queue = self.bottleneck_queue();
+        Ok(match self.shape {
+            Shape::Dumbbell => {
+                let d = Dumbbell::build(
+                    net,
+                    &DumbbellConfig {
+                        bottleneck_rate: rate,
+                        edge_rate: rate,
+                        sender_bond_links: 2,
+                        hop_delay: self.hop_delay,
+                        bottleneck_queue: queue,
+                        edge_buffer_bytes: EDGE_BUFFER_BYTES,
+                        host_min_pkt_gap: SimDuration::ZERO,
+                        senders: if self.colocate_senders { 1 } else { n },
+                    },
+                );
+                Roles {
+                    senders: d.senders,
+                    receivers: vec![d.receiver],
+                    paths: vec![(d.receiver, 2); n],
+                    bottlenecks: vec![d.bottleneck],
+                    faulted: 1,
+                }
+            }
+            Shape::Incast {
+                senders,
+                bond_links,
+            } => {
+                if senders == 0 || bond_links == 0 {
+                    return Err(ScenarioError::Invalid(
+                        "an incast needs at least one sender and one bond link".into(),
+                    ));
+                }
+                let c = Incast::build(
+                    net,
+                    &IncastConfig {
+                        fan_in: senders,
+                        edge_rate: rate,
+                        bottleneck_rate: rate,
+                        hop_delay: self.hop_delay,
+                        bond_links,
+                        bottleneck_queue: queue,
+                        edge_buffer_bytes: EDGE_BUFFER_BYTES,
+                    },
+                );
+                Roles {
+                    senders: c.senders,
+                    receivers: vec![c.receiver],
+                    paths: vec![(c.receiver, 2); n],
+                    faulted: c.bottlenecks.len(),
+                    bottlenecks: c.bottlenecks,
+                }
+            }
+            Shape::ParkingLot { hops } => {
+                if hops == 0 || n != hops + 1 {
+                    return Err(ScenarioError::Invalid(format!(
+                        "a {hops}-hop parking lot takes {} flows (through + one local \
+                         per hop), got {n}",
+                        hops + 1
+                    )));
+                }
+                let lot = ParkingLot::build(
+                    net,
+                    &ParkingLotConfig {
+                        hops,
+                        link_rate: rate,
+                        edge_rate: rate,
+                        hop_delay: self.hop_delay,
+                        bottleneck_queue: queue,
+                        edge_buffer_bytes: EDGE_BUFFER_BYTES,
+                    },
+                );
+                let paths: Vec<(NodeId, u64)> =
+                    std::iter::once((lot.through_receiver, hops as u64 + 1))
+                        .chain(lot.local_receivers.iter().map(|&r| (r, 2)))
+                        .collect();
+                Roles {
+                    senders: std::iter::once(lot.through_sender)
+                        .chain(lot.local_senders)
+                        .collect(),
+                    receivers: paths.iter().map(|&(r, _)| r).collect(),
+                    paths,
+                    bottlenecks: lot.bottlenecks,
+                    faulted: 1,
+                }
+            }
+        })
+    }
+}
+
+/// What a built shape tells the rest of the pipeline.
+struct Roles {
+    /// Sender hosts; flow `l` runs on `senders[l % senders.len()]`.
+    senders: Vec<NodeId>,
+    /// Receiver hosts, each running one [`TcpReceiver`].
+    receivers: Vec<NodeId>,
+    /// Per flow: its receiver and its path length in hops, one way.
+    paths: Vec<(NodeId, u64)>,
+    /// Every bottleneck link, for trace names.
+    bottlenecks: Vec<LinkId>,
+    /// How many of `bottlenecks` (from the first) carry the fault.
+    faulted: usize,
 }
 
 /// Why a scenario failed.
@@ -291,6 +480,9 @@ pub enum ScenarioError {
     /// The scenario's fault spec was rejected at install time (bad
     /// probability, empty/overlapping flap window, oversized jitter).
     Fault(netsim::fault::FaultSpecError),
+    /// The scenario describes no runnable network: no flows, an empty
+    /// shape, or a flow count the shape cannot carry.
+    Invalid(String),
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -310,6 +502,7 @@ impl std::fmt::Display for ScenarioError {
                 )
             }
             ScenarioError::Fault(err) => write!(f, "{err}"),
+            ScenarioError::Invalid(why) => write!(f, "invalid scenario: {why}"),
         }
     }
 }
@@ -327,9 +520,10 @@ pub struct ScenarioOutcome {
     /// Total sender-side energy over the window (the paper's headline
     /// quantity; see `DESIGN.md` on per-socket accounting).
     pub sender_energy_j: f64,
-    /// Per-sender-host energy readings, in flow order.
+    /// Per-sender-host energy readings, in host order (idle hosts of an
+    /// incast are not metered).
     pub sender_readings: Vec<EnergyReading>,
-    /// The receiver host's energy over the same window (reported
+    /// The receiver hosts' energy over the same window (reported
     /// separately; the paper's per-flow arithmetic covers senders).
     pub receiver_energy_j: f64,
     /// Packets dropped at queues.
@@ -359,7 +553,8 @@ pub struct ScenarioOutcome {
     /// in flow order.
     pub throughput_traces: Option<Vec<Vec<f64>>>,
     /// Per-sender-host instantaneous power series (W per activity bin),
-    /// aligned with [`Self::power_bin`]. One series per sender host.
+    /// aligned with [`Self::power_bin`], one per metered sender host
+    /// (see [`Scenario::power_series`]).
     pub sender_power_series_w: Vec<Vec<f64>>,
     /// Bin width of the power series.
     pub power_bin: SimDuration,
@@ -390,9 +585,62 @@ impl ScenarioOutcome {
     }
 }
 
+/// One flow's report from its sender's final state. Every flow must
+/// have reached a terminal state: completed, or cleanly aborted by its
+/// retry budget (whose terminal time is the abort, and whose goodput is
+/// over the bytes it actually moved).
+fn flow_report(
+    flow: FlowId,
+    spec: &FlowSpec,
+    sender: &TcpSender,
+    limit: SimTime,
+) -> Result<FlowReport, ScenarioError> {
+    let stats = sender.stats();
+    let incomplete = ScenarioError::Incomplete { flow, limit };
+    let (Some(started_at), Some(terminal_at)) =
+        (stats.started_at, stats.completed_at.or(stats.aborted_at))
+    else {
+        return Err(incomplete);
+    };
+    let fct = terminal_at.saturating_since(started_at);
+    Ok(FlowReport {
+        flow,
+        cca: spec.cca,
+        outcome: stats.outcome(),
+        bytes: spec.bytes,
+        bytes_acked: stats.bytes_acked,
+        started_at,
+        completed_at: terminal_at,
+        fct,
+        mean_goodput: netsim::units::average_rate(stats.bytes_acked, fct),
+        retransmits: stats.retx_segs,
+        rtos: stats.rto_count,
+        segs_sent: stats.segs_sent,
+        acks_processed: stats.acks_processed,
+        compute_cost_factor: sender.compute_cost_factor(),
+    })
+}
+
+/// The CC cost factor a sender host is metered with: its flow's own for
+/// a one-flow host; for a multiplexed host, each flow's factor weighted
+/// by its share of the host's processed acks.
+fn host_cost_factor(host_reports: &[&FlowReport]) -> f64 {
+    if let [only] = host_reports {
+        return only.compute_cost_factor;
+    }
+    let total_acks: u64 = host_reports.iter().map(|r| r.acks_processed).sum();
+    if total_acks == 0 {
+        return 0.0;
+    }
+    host_reports
+        .iter()
+        .map(|r| r.compute_cost_factor * r.acks_processed as f64)
+        .sum::<f64>()
+        / total_acks as f64
+}
+
 /// Run a scenario to completion and measure it.
 pub fn run(scenario: &Scenario) -> Result<ScenarioOutcome, ScenarioError> {
-    let mss = scenario.mtu - HEADER_BYTES;
     let mut net = Network::new(scenario.seed);
     net.set_delivery_batching(scenario.delivery_batching);
     net.enable_activity(scenario.activity_bin);
@@ -417,67 +665,63 @@ pub fn run(scenario: &Scenario) -> Result<ScenarioOutcome, ScenarioError> {
         net.set_recorder(rec.clone());
     }
 
-    let queue = if scenario.uses_dctcp() {
-        BottleneckQueue::EcnThreshold {
-            capacity_bytes: scenario.buffer_bytes,
-            mark_bytes: scenario.dctcp_k_bytes(),
-        }
-    } else {
-        BottleneckQueue::DropTail {
-            capacity_bytes: scenario.buffer_bytes,
-        }
-    };
-    let cfg = DumbbellConfig {
-        bottleneck_rate: Rate::from_gbps(scenario.link_gbps),
-        edge_rate: Rate::from_gbps(scenario.link_gbps),
-        sender_bond_links: 2,
-        hop_delay: scenario.hop_delay,
-        bottleneck_queue: queue,
-        edge_buffer_bytes: 4_000_000,
-        host_min_pkt_gap: SimDuration::ZERO,
-        senders: if scenario.colocate_senders {
-            1
-        } else {
-            scenario.flows.len()
-        },
-    };
-    let dumbbell = Dumbbell::build(&mut net, &cfg);
+    // 1. Build: the shape compiles to host roles.
+    let roles = scenario.build_shape(&mut net)?;
     if let Some(spec) = &scenario.bottleneck_fault {
-        net.set_link_fault(dumbbell.bottleneck, spec.clone())
-            .map_err(ScenarioError::Fault)?;
+        for &link in roles.bottlenecks.iter().take(roles.faulted) {
+            net.set_link_fault(link, spec.clone())
+                .map_err(ScenarioError::Fault)?;
+        }
     }
     net.set_stall_budget(Some(STALL_BUDGET_EVENTS));
 
     // Human-readable track names for the trace viewer.
     if let Some(rec) = &obs_rec {
         let mut r = rec.borrow_mut();
+        let numbered = |base: &str, i: usize, of: usize| {
+            if of == 1 {
+                base.to_string()
+            } else {
+                format!("{base} {i}")
+            }
+        };
         for (i, spec) in scenario.flows.iter().enumerate() {
             r.name_flow(i as u32, &format!("flow {i} ({})", spec.cca.name()));
         }
-        for (i, &host) in dumbbell.senders.iter().enumerate() {
+        for (i, &host) in roles.senders.iter().enumerate() {
             r.name_host(host.index() as u32, &format!("sender {i}"));
         }
-        r.name_host(dumbbell.receiver.index() as u32, "receiver");
-        r.name_queue(dumbbell.bottleneck.index() as u32, "bottleneck");
+        for (i, &host) in roles.receivers.iter().enumerate() {
+            let name = numbered("receiver", i, roles.receivers.len());
+            r.name_host(host.index() as u32, &name);
+        }
+        for (i, &link) in roles.bottlenecks.iter().enumerate() {
+            let name = numbered("bottleneck", i, roles.bottlenecks.len());
+            r.name_queue(link.index() as u32, &name);
+        }
     }
 
-    let baseline_cwnd =
-        ((scenario.bdp_bytes() + scenario.buffer_bytes) as f64 * BASELINE_CWND_FACTOR) as u64;
-    let cca_cfg = CcaConfig::new(mss).with_baseline_cwnd(baseline_cwnd);
+    // Constant-cwnd baseline sizing against the longest path's BDP plus
+    // the bottleneck buffer.
+    let longest_hops = roles.paths.iter().map(|&(_, hops)| hops).max().unwrap_or(2);
+    let rtt_s = scenario.hop_delay.as_secs_f64() * 2.0 * longest_hops as f64;
+    let bdp = (scenario.link_gbps * 1e9 / 8.0 * rtt_s) as u64;
+    let baseline_cwnd = ((bdp + scenario.buffer_bytes) as f64 * BASELINE_CWND_FACTOR) as u64;
+    let cca_cfg =
+        CcaConfig::new(scenario.mtu.saturating_sub(HEADER_BYTES)).with_baseline_cwnd(baseline_cwnd);
 
+    // 2. Attach: build every flow's sender in flow order, then deal the
+    // senders onto hosts.
     // simlint::allow(rng-discipline, reason = "named stream: scenario seed XOR 'jutt' salt; isolated so adding flows never perturbs engine or fault draws")
     let mut jitter_rng = netsim::rng::SimRng::new(scenario.seed ^ 0x6a75_7474);
-    let mut jitters = Vec::with_capacity(scenario.flows.len());
-    for _ in &scenario.flows {
-        let ns = if scenario.start_jitter.is_zero() {
+    let n_hosts = roles.senders.len();
+    let mut per_host: Vec<Vec<TcpSender>> = roles.senders.iter().map(|_| Vec::new()).collect();
+    for (l, (spec, &(dst, hops))) in scenario.flows.iter().zip(&roles.paths).enumerate() {
+        let jitter = if scenario.start_jitter.is_zero() {
             0
         } else {
             jitter_rng.next_below(scenario.start_jitter.as_nanos())
         };
-        jitters.push(SimDuration::from_nanos(ns));
-    }
-    let build_sender = |i: usize, spec: &FlowSpec| -> TcpSender {
-        let flow = FlowId::from_raw(i as u32);
         let cc = spec.cca.build(&cca_cfg);
         let min_gap = scenario
             .host_pps_cap
@@ -490,13 +734,13 @@ pub fn run(scenario: &Scenario) -> Result<ScenarioOutcome, ScenarioError> {
                 SimDuration::from_secs_f64(1.0 / pps)
             })
             .unwrap_or(SimDuration::ZERO);
-        // Seed the RTT estimator with the path's base RTT, standing in
+        // Seed the RTT estimator with the flow's base RTT, standing in
         // for the handshake sample (see TcpSenderConfig::initial_rtt_hint).
-        let base_rtt = scenario.hop_delay * 4;
-        let mut cfg = TcpSenderConfig::bulk(flow, dumbbell.receiver, scenario.mtu, spec.bytes)
-            .with_min_pkt_gap(min_gap)
-            .with_rtt_hint(base_rtt)
-            .with_start_delay(spec.start_delay + jitters[i]);
+        let mut cfg =
+            TcpSenderConfig::bulk(FlowId::from_raw(l as u32), dst, scenario.mtu, spec.bytes)
+                .with_min_pkt_gap(min_gap)
+                .with_rtt_hint(scenario.hop_delay.saturating_mul(2 * hops))
+                .with_start_delay(spec.start_delay + SimDuration::from_nanos(jitter));
         if let Some(retries) = scenario.max_rto_retries {
             cfg = cfg.with_max_rto_retries(retries);
         }
@@ -510,31 +754,30 @@ pub fn run(scenario: &Scenario) -> Result<ScenarioOutcome, ScenarioError> {
         if let Some(rec) = &recorder {
             sender.set_recorder(rec.clone());
         }
-        sender
-    };
-    if scenario.colocate_senders {
-        let subs: Vec<TcpSender> = scenario
-            .flows
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| build_sender(i, spec))
-            .collect();
-        net.attach_agent(dumbbell.senders[0], Box::new(MuxSender::new(subs)));
-    } else {
-        for (i, spec) in scenario.flows.iter().enumerate() {
-            net.attach_agent(dumbbell.senders[i], Box::new(build_sender(i, spec)));
+        if let Some(host) = per_host.get_mut(l % n_hosts) {
+            host.push(sender);
         }
     }
-
-    // The receiver's ack policy follows the (single) algorithm family in
-    // use; the paper never mixes DCTCP with non-ECN algorithms.
+    let flows_per_host: Vec<usize> = per_host.iter().map(Vec::len).collect();
+    for (&host, mut subs) in roles.senders.iter().zip(per_host) {
+        if subs.len() > 1 {
+            net.attach_agent(host, Box::new(MuxSender::new(subs)));
+        } else if let Some(sender) = subs.pop() {
+            net.attach_agent(host, Box::new(sender));
+        }
+    }
+    // The receivers' ack policy follows the (single) algorithm family in
+    // use, like the bottleneck queue.
     let policy = if scenario.uses_dctcp() {
         CcaKind::Dctcp.ack_policy()
     } else {
         CcaKind::Cubic.ack_policy()
     };
-    net.attach_agent(dumbbell.receiver, Box::new(TcpReceiver::new(policy)));
+    for &host in &roles.receivers {
+        net.attach_agent(host, Box::new(TcpReceiver::new(policy)));
+    }
 
+    // 3. Run.
     let limit = scenario
         .time_limit
         .unwrap_or_else(|| scenario.default_time_limit());
@@ -554,104 +797,73 @@ pub fn run(scenario: &Scenario) -> Result<ScenarioOutcome, ScenarioError> {
         RunOutcome::Drained | RunOutcome::Stopped | RunOutcome::TimeLimit => {}
     }
 
-    // Collect per-flow reports; every flow must have reached a terminal
-    // state — completed, or cleanly aborted by its retry budget.
+    // 4. Report, in flow order. Flow `l` is sub-sender `l / n_hosts` on
+    // host `l % n_hosts`.
     let mut reports = Vec::with_capacity(scenario.flows.len());
-    for (i, spec) in scenario.flows.iter().enumerate() {
-        let flow = FlowId::from_raw(i as u32);
-        let (stats, cost_factor) = if scenario.colocate_senders {
-            let mux = net
-                .agent::<MuxSender>(dumbbell.senders[0])
-                .expect("mux agent present");
-            (mux.sub(i).stats(), mux.sub(i).compute_cost_factor())
+    for (l, spec) in scenario.flows.iter().enumerate() {
+        let flow = FlowId::from_raw(l as u32);
+        let (Some(&host), Some(&on_host)) = (
+            roles.senders.get(l % n_hosts),
+            flows_per_host.get(l % n_hosts),
+        ) else {
+            return Err(ScenarioError::Invalid(format!(
+                "flow {l} has no sender host"
+            )));
+        };
+        let sender = if on_host == 1 {
+            net.agent::<TcpSender>(host)
         } else {
-            let sender = net
-                .agent::<TcpSender>(dumbbell.senders[i])
-                .expect("sender agent present");
-            (sender.stats(), sender.compute_cost_factor())
+            net.agent::<MuxSender>(host).map(|mux| mux.sub(l / n_hosts))
         };
-        // An aborted flow's terminal time is the abort; its goodput is
-        // over the bytes it actually moved.
-        let terminal_at = match (stats.completed_at, stats.aborted_at) {
-            (Some(done), _) => done,
-            (None, Some(gave_up)) => gave_up,
-            (None, None) => return Err(ScenarioError::Incomplete { flow, limit }),
+        let Some(sender) = sender else {
+            return Err(ScenarioError::Invalid(format!(
+                "flow {l} lost its sender agent"
+            )));
         };
-        let started_at = stats
-            .started_at
-            .ok_or(ScenarioError::Incomplete { flow, limit })?;
-        let fct = terminal_at.saturating_since(started_at);
-        reports.push(FlowReport {
-            flow,
-            cca: spec.cca,
-            outcome: stats.outcome(),
-            bytes: spec.bytes,
-            bytes_acked: stats.bytes_acked,
-            started_at,
-            completed_at: terminal_at,
-            fct,
-            mean_goodput: netsim::units::average_rate(stats.bytes_acked, fct),
-            retransmits: stats.retx_segs,
-            rtos: stats.rto_count,
-            segs_sent: stats.segs_sent,
-            acks_processed: stats.acks_processed,
-            compute_cost_factor: cost_factor,
-        });
+        reports.push(flow_report(flow, spec, sender, limit)?);
     }
 
-    // Energy: RAPL-style reads over [0, last completion].
+    // 5. Meter: RAPL-style reads over [0, last terminal time].
     let window_end = reports
         .iter()
         .map(|r| r.completed_at)
         .max()
-        .expect("at least one flow");
+        .unwrap_or(SimTime::ZERO);
     let window = window_end.saturating_since(SimTime::ZERO);
-
+    let Some(activity) = net.activity() else {
+        return Err(ScenarioError::Invalid("activity recording is off".into()));
+    };
     let meter = EnergyMeter::new(calibration::reference_host_model());
-    let activity = net.activity().expect("activity recording enabled");
     let ref_cost = calibration::cc_cost_per_ack_ref_j();
-    let mut sender_power_series_w = Vec::new();
+    let series_wanted = scenario.power_series || obs_rec.is_some();
     let mut sender_readings = Vec::new();
-    if scenario.colocate_senders {
-        // One host serves every flow: weight the CC cost by each flow's
-        // share of the processed acks.
-        let total_acks: u64 = reports.iter().map(|r| r.acks_processed).sum();
-        let weighted_factor = if total_acks == 0 {
-            0.0
-        } else {
-            reports
-                .iter()
-                .map(|r| r.compute_cost_factor * r.acks_processed as f64)
-                .sum::<f64>()
-                / total_acks as f64
-        };
+    let mut sender_power_series_w = Vec::new();
+    // Hosts in order, so the float summation order is fixed.
+    for (h, &host) in roles.senders.iter().enumerate().take(reports.len()) {
+        let host_reports: Vec<&FlowReport> = reports.iter().skip(h).step_by(n_hosts).collect();
         let ctx = HostContext {
             background_util: scenario.background_load.utilization(),
-            cc_cost_per_ack_j: ref_cost * weighted_factor,
+            cc_cost_per_ack_j: ref_cost * host_cost_factor(&host_reports),
         };
-        sender_readings.push(meter.measure_host(activity, dumbbell.senders[0], window, ctx));
-        sender_power_series_w.push(meter.model().power_series(
-            activity.series(dumbbell.senders[0]),
-            activity.bin(),
-            ctx,
-        ));
-    } else {
-        for (i, report) in reports.iter().enumerate() {
-            let ctx = HostContext {
-                background_util: scenario.background_load.utilization(),
-                cc_cost_per_ack_j: ref_cost * report.compute_cost_factor,
-            };
-            sender_readings.push(meter.measure_host(activity, dumbbell.senders[i], window, ctx));
+        sender_readings.push(meter.measure_host(activity, host, window, ctx));
+        if series_wanted {
             sender_power_series_w.push(meter.model().power_series(
-                activity.series(dumbbell.senders[i]),
+                activity.series(host),
                 activity.bin(),
                 ctx,
             ));
         }
     }
     let sender_energy_j = sender_readings.iter().map(|r| r.joules).sum();
-    let receiver_reading =
-        meter.measure_host(activity, dumbbell.receiver, window, HostContext::default());
+    let receiver_energy_j = roles
+        .receivers
+        .iter()
+        .map(|&host| {
+            meter
+                .measure_host(activity, host, window, HostContext::default())
+                .joules
+        })
+        .sum();
 
     let net_stats = net.network_stats();
     let throughput_traces = net.flow_trace().map(|trace| {
@@ -666,38 +878,37 @@ pub fn run(scenario: &Scenario) -> Result<ScenarioOutcome, ScenarioError> {
     let obs = obs_rec.map(|rec| {
         let mut r = rec.borrow_mut();
         let bin_ns = scenario.activity_bin.as_nanos();
-        let sender_hosts: &[netsim::ids::NodeId] = if scenario.colocate_senders {
-            &dumbbell.senders[..1]
-        } else {
-            &dumbbell.senders
-        };
-        for (series, &host) in sender_power_series_w.iter().zip(sender_hosts) {
+        for (series, &host) in sender_power_series_w.iter().zip(&roles.senders) {
             for (b, &w) in series.iter().enumerate() {
                 r.power_sample(b as u64 * bin_ns, host.index() as u32, w);
             }
         }
-        let receiver_series = meter.model().power_series(
-            activity.series(dumbbell.receiver),
-            activity.bin(),
-            HostContext::default(),
-        );
-        for (b, &w) in receiver_series.iter().enumerate() {
-            r.power_sample(b as u64 * bin_ns, dumbbell.receiver.index() as u32, w);
+        for &host in &roles.receivers {
+            let series = meter.model().power_series(
+                activity.series(host),
+                activity.bin(),
+                HostContext::default(),
+            );
+            for (b, &w) in series.iter().enumerate() {
+                r.power_sample(b as u64 * bin_ns, host.index() as u32, w);
+            }
         }
-        // Per-flow energy samples (one sender host per flow), strided so
-        // they don't evict the flight ring's protocol history.
-        if !scenario.colocate_senders {
-            for (i, series) in sender_power_series_w.iter().enumerate() {
-                let stride = (series.len() / MAX_FLIGHT_ENERGY_SAMPLES).max(1);
-                for (b, &w) in series.iter().enumerate().step_by(stride) {
-                    r.flow_event(
-                        b as u64 * bin_ns,
-                        i as u32,
-                        FlowEvent::EnergySample {
-                            milliwatts: (w * 1_000.0).round().max(0.0) as u64,
-                        },
-                    );
-                }
+        // Per-flow energy samples for one-flow hosts (host `h` then
+        // carries flow `h`), strided so they don't evict the flight
+        // ring's protocol history.
+        for (h, series) in sender_power_series_w.iter().enumerate() {
+            if flows_per_host.get(h) != Some(&1) {
+                continue;
+            }
+            let stride = (series.len() / MAX_FLIGHT_ENERGY_SAMPLES).max(1);
+            for (b, &w) in series.iter().enumerate().step_by(stride) {
+                r.flow_event(
+                    b as u64 * bin_ns,
+                    h as u32,
+                    FlowEvent::EnergySample {
+                        milliwatts: (w * 1_000.0).round().max(0.0) as u64,
+                    },
+                );
             }
         }
         if let Some(log) = net.packet_log() {
@@ -734,7 +945,7 @@ pub fn run(scenario: &Scenario) -> Result<ScenarioOutcome, ScenarioError> {
         window,
         sender_energy_j,
         sender_readings,
-        receiver_energy_j: receiver_reading.joules,
+        receiver_energy_j,
         dropped_pkts: net_stats.dropped_pkts,
         marked_pkts: net_stats.marked_pkts,
         injected_drops: net_stats.injected_drops,
@@ -814,19 +1025,126 @@ mod tests {
         assert!((3.5..6.5).contains(&g1), "g1={g1}");
     }
 
-    #[test]
-    fn dctcp_gets_ecn_marks_not_drops() {
-        let out = quick(9000, CcaKind::Dctcp, 250 * MB);
+    /// Slow-start overshoot may drop a handful of packets before alpha
+    /// converges; steady state must be mark-governed, not drop-governed.
+    fn assert_mark_governed(out: &ScenarioOutcome) {
         assert!(out.marked_pkts > 0, "DCTCP must see CE marks");
-        // Slow-start overshoot may drop a handful of packets before alpha
-        // converges; steady state must be mark-governed, not drop-governed.
         assert!(
             out.dropped_pkts * 20 < out.marked_pkts,
             "drops ({}) should be rare next to marks ({})",
             out.dropped_pkts,
             out.marked_pkts
         );
+    }
+
+    #[test]
+    fn dctcp_gets_ecn_marks_not_drops() {
+        let out = quick(9000, CcaKind::Dctcp, 250 * MB);
+        assert_mark_governed(&out);
         assert!(out.reports[0].mean_goodput.gbps() > 7.5);
+    }
+
+    #[test]
+    fn dctcp_gets_ecn_marks_on_a_parking_lot() {
+        let mut s = three_hop(20 * MB);
+        for f in &mut s.flows {
+            f.cca = CcaKind::Dctcp;
+        }
+        let out = run(&s).expect("parking lot completes");
+        assert_mark_governed(&out);
+    }
+
+    #[test]
+    fn dctcp_gets_ecn_marks_in_an_incast_rack() {
+        let s = Scenario::new(9000, vec![FlowSpec::bulk(CcaKind::Dctcp, 20 * MB); 8])
+            .with_shape(Shape::Incast {
+                senders: 4,
+                bond_links: 2,
+            })
+            .with_seed(3);
+        let out = run(&s).expect("incast completes");
+        assert!(out.reports.iter().all(|r| r.outcome.is_completed()));
+        assert_mark_governed(&out);
+    }
+
+    /// A three-hop parking lot at MTU 1500 with a 500 KB buffer per
+    /// chain link, no start jitter and no pps ceiling.
+    fn three_hop(bytes: u64) -> Scenario {
+        let mut s = Scenario::new(1500, vec![FlowSpec::bulk(CcaKind::Cubic, bytes); 4])
+            .with_shape(Shape::ParkingLot { hops: 3 })
+            .with_seed(7);
+        s.buffer_bytes = 500_000;
+        s.host_pps_cap = None;
+        s.start_jitter = SimDuration::ZERO;
+        s
+    }
+
+    #[test]
+    fn parking_lot_through_flow_completes_against_cross_traffic() {
+        let out = run(&three_hop(2_000_000)).expect("run completes");
+        assert_eq!(out.reports.len(), 4);
+        assert!(out.reports.iter().all(|r| r.outcome.is_completed()));
+        assert!(out.sender_energy_j > 0.0);
+        assert_eq!(out.sender_readings.len(), 4, "one sender host per flow");
+        // The through flow crosses every contended hop; each local flow
+        // contends at exactly one. The through flow cannot beat the
+        // best local flow.
+        let through = out.reports[0].mean_goodput.gbps();
+        let best_local = out.reports[1..]
+            .iter()
+            .map(|r| r.mean_goodput.gbps())
+            .fold(0.0, f64::max);
+        assert!(
+            through <= best_local + 1e-9,
+            "through {through} vs best local {best_local}"
+        );
+    }
+
+    #[test]
+    fn parking_lot_runs_replay_bit_identically() {
+        let a = run(&three_hop(1_000_000)).expect("first run");
+        let b = run(&three_hop(1_000_000)).expect("second run");
+        assert_eq!(a.sim_end, b.sim_end);
+        assert_eq!(a.sender_energy_j.to_bits(), b.sender_energy_j.to_bits());
+    }
+
+    #[test]
+    fn parking_lot_fault_on_the_first_hop_hits_the_through_flow() {
+        let out = run(&three_hop(1_000_000).with_fault(FaultSpec::random_loss(0.02)))
+            .expect("survives 2% loss");
+        assert!(out.injected_drops > 0);
+        assert!(out.reports[0].retransmits > 0, "through flow crosses hop 0");
+    }
+
+    #[test]
+    fn parking_lot_invalid_fault_surfaces_as_scenario_error() {
+        let err = run(&three_hop(100_000).with_fault(FaultSpec::random_loss(2.0))).unwrap_err();
+        assert!(matches!(err, ScenarioError::Fault(_)), "got {err}");
+    }
+
+    #[test]
+    fn parking_lot_flow_count_must_match_hops() {
+        let mut s = three_hop(100_000);
+        s.flows.pop();
+        let err = run(&s).unwrap_err();
+        assert!(matches!(err, ScenarioError::Invalid(_)), "got {err}");
+    }
+
+    #[test]
+    fn incast_multiplexes_and_leaves_spare_hosts_idle() {
+        let s = Scenario::new(9000, vec![FlowSpec::bulk(CcaKind::Cubic, 2 * MB); 5])
+            .with_shape(Shape::Incast {
+                senders: 8,
+                bond_links: 2,
+            })
+            .with_trace(SimDuration::from_millis(1))
+            .with_observability();
+        let out = run(&s).expect("incast completes");
+        assert_eq!(out.reports.len(), 5);
+        assert_eq!(out.sender_readings.len(), 5, "three hosts carry no flow");
+        assert_eq!(out.throughput_traces.map(|t| t.len()), Some(5));
+        let report = out.obs.expect("observed incast yields a report");
+        assert_eq!(report.metrics.counter_total("flows_completed_total"), 5);
     }
 
     #[test]
@@ -911,15 +1229,8 @@ mod tests {
         ))
         .unwrap();
         let g: Vec<f64> = out.reports.iter().map(|r| r.mean_goodput.gbps()).collect();
-        let jain = analysis_jain(&g);
+        let jain = analysis::fairness::jain_index(&g);
         assert!(jain > 0.85, "swift-vs-swift Jain {jain:.3} ({g:?})");
-    }
-
-    /// Local Jain helper (workload doesn't depend on the analysis crate).
-    fn analysis_jain(xs: &[f64]) -> f64 {
-        let sum: f64 = xs.iter().sum();
-        let sq: f64 = xs.iter().map(|x| x * x).sum();
-        (sum * sum) / (xs.len() as f64 * sq)
     }
 
     #[test]
