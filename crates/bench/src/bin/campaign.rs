@@ -1,14 +1,14 @@
 //! Durable, supervised CCA × MTU campaign runner.
 //!
 //! Runs the Figures 5-8 measurement campaign with the durability layer
-//! switched on: fsynced per-cell checkpoint journaling (single-file or
-//! sharded per worker), supervised retry with exponential backoff,
+//! switched on: fsynced per-cell checkpoint journaling (one shard file
+//! per worker), supervised retry with exponential backoff,
 //! poison-cell quarantine, graceful SIGINT/SIGTERM shutdown, and
 //! optional per-cell deadlines and paranoid-mode physics audits.
 //!
 //! ```text
 //! campaign [--resume] [--paranoid] [--deadline <secs>]
-//!          [--threads <n>] [--journal <path> | --journal-dir <dir>]
+//!          [--threads <n>] [--journal-dir <dir>]
 //!          [--max-attempts <n>] [--backoff <n>]
 //!          [--cells-out <path>] [--trace-out <dir>]
 //! ```
@@ -21,10 +21,9 @@
 //!   blows it fails (and re-enters the retry schedule) instead of
 //!   hanging the campaign.
 //! * `--threads` — worker count (default: all cores).
-//! * `--journal` — single-file journal path (default:
-//!   `results/campaign_<scale>.jsonl`).
-//! * `--journal-dir` — sharded journal directory (one fsynced JSONL per
-//!   worker plus `quarantine.jsonl`); overrides `--journal`.
+//! * `--journal-dir` — journal directory: one fsynced `shard-NNN.jsonl`
+//!   per worker plus `quarantine.jsonl` (default:
+//!   `results/campaign_<scale>/`).
 //! * `--max-attempts` — retry budget per cell per campaign life
 //!   (default 2: the classic one-salted-retry).
 //! * `--backoff` — exponential backoff base in claim counts (default 0:
@@ -60,7 +59,7 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: campaign [--resume] [--paranoid] [--deadline <secs>] \
-         [--threads <n>] [--journal <path> | --journal-dir <dir>] \
+         [--threads <n>] [--journal-dir <dir>] \
          [--max-attempts <n>] [--backoff <n>] [--cells-out <path>] \
          [--trace-out <dir>]"
     );
@@ -104,7 +103,6 @@ fn main() {
         cancel: campaign::install_signal_handlers(),
         ..Default::default()
     };
-    let mut journal: Option<PathBuf> = None;
     let mut cells_out: Option<PathBuf> = None;
 
     let mut args = std::env::args();
@@ -117,9 +115,6 @@ fn main() {
                 opts.deadline = Some(Duration::from_secs_f64(parse_arg(&mut args, "--deadline")))
             }
             "--threads" => opts.threads = parse_arg(&mut args, "--threads"),
-            "--journal" => {
-                journal = Some(PathBuf::from(parse_arg::<String>(&mut args, "--journal")))
-            }
             "--journal-dir" => {
                 opts.journal_dir = Some(PathBuf::from(parse_arg::<String>(
                     &mut args,
@@ -142,21 +137,16 @@ fn main() {
             }
         }
     }
-    if opts.journal_dir.is_none() {
-        opts.journal = Some(journal.unwrap_or_else(|| {
-            PathBuf::from("results").join(format!("campaign_{}.jsonl", scale.name))
-        }));
-    }
+    let journal_dir = opts
+        .journal_dir
+        .get_or_insert_with(|| PathBuf::from("results").join(format!("campaign_{}", scale.name)))
+        .clone();
 
     bench::announce("Durable campaign", &scale);
     println!(
         "journal: {} | resume: {} | paranoid: {} | deadline: {} | threads: {} | \
          retry: {} | trace-out: {}\n",
-        opts.journal_dir
-            .as_deref()
-            .or(opts.journal.as_deref())
-            .unwrap_or(std::path::Path::new("-"))
-            .display(),
+        journal_dir.display(),
         opts.resume,
         opts.paranoid,
         opts.deadline

@@ -17,7 +17,7 @@
 //! With `--check-journal`, only the checkpoint-journal throughput probe
 //! runs: the sharded writer pool must hold at least `1 -
 //! CHECK_TOLERANCE` of both the freshly measured and the committed
-//! single-journal baseline. This is the `scripts/verify.sh --supervise`
+//! single-writer (one-shard) baseline. This is the `scripts/verify.sh --supervise`
 //! throughput gate.
 
 use cca::CcaKind;
@@ -101,11 +101,11 @@ struct ObsOverhead {
     overhead_frac: f64,
 }
 
-/// Throughput of the fsynced campaign checkpoint journal, single-file
-/// vs sharded-per-worker. Sharding exists so checkpoint appends from a
+/// Throughput of the fsynced campaign checkpoint journal, one shard vs
+/// one shard per worker. Sharding exists so checkpoint appends from a
 /// wide worker pool don't serialize on one file lock + fsync queue; the
 /// `--check-journal` gate holds the sharded path to at least the
-/// single-journal baseline (within [`CHECK_TOLERANCE`]).
+/// single-writer baseline (within [`CHECK_TOLERANCE`]).
 #[derive(Serialize)]
 struct JournalThroughput {
     /// Cell records appended per measured run.
@@ -359,7 +359,7 @@ fn journal_entries(n: usize) -> Vec<greenenvy::campaign::journal::Entry> {
 /// record sequentially vs one writer per shard fed concurrently, the
 /// way a supervised campaign's worker pool actually appends.
 fn measure_journal_throughput() -> JournalThroughput {
-    use greenenvy::campaign::journal::{self, Fingerprint, Writer};
+    use greenenvy::campaign::journal::{self, Fingerprint};
     const RECORDS: usize = 2048;
     const SHARDS: usize = 4;
     let fp = Fingerprint::of(&greenenvy::Scale::quick());
@@ -373,15 +373,16 @@ fn measure_journal_throughput() -> JournalThroughput {
     let mut sharded_wall = f64::INFINITY;
     for _ in 0..RUNS {
         let start = Instant::now();
-        let mut w = Writer::create(&tmp.join("single.jsonl"), &fp, &[])
+        let mut single = journal::create(&tmp.join("single"), &fp, &[], 1)
             .unwrap_or_else(|e| panic!("journal probe: {e}"));
+        let w = &mut single[0];
         for e in &entries {
             w.append(e).unwrap_or_else(|e| panic!("journal probe: {e}"));
         }
         single_wall = single_wall.min(start.elapsed().as_secs_f64());
 
         let start = Instant::now();
-        let writers = journal::create_sharded(&tmp.join("sharded"), &fp, &[], SHARDS)
+        let writers = journal::create(&tmp.join("sharded"), &fp, &[], SHARDS)
             .unwrap_or_else(|e| panic!("journal probe: {e}"));
         std::thread::scope(|s| {
             for (mut w, slice) in writers.into_iter().zip(entries.chunks(chunk)) {
@@ -412,7 +413,7 @@ fn measure_journal_throughput() -> JournalThroughput {
 }
 
 /// The `--check-journal` gate: the sharded journal path must not lose
-/// throughput against the sequential single-file writer measured in the
+/// throughput against the sequential one-shard writer measured in the
 /// same process, nor against the committed baseline (when one exists).
 /// Returns the number of violations.
 fn check_journal_against(path: &std::path::Path, fresh: &JournalThroughput) -> usize {

@@ -1,33 +1,31 @@
-//! The append-only per-cell checkpoint journal — single-file and sharded.
+//! The append-only per-cell checkpoint journal.
 //!
-//! **Single-file layout**: one JSONL file per campaign. Line 1 is a
-//! header carrying a *fingerprint* — a hash over everything that
-//! determines cell results: code revision, matrix schema, transfer size,
-//! repetition count, the exact seed schedule, the CCA × MTU job list,
-//! and the retry policy (whose human-readable spec the header also
-//! records, so resume provably replays the same schedule). Every
-//! following line is one completed (or terminally failed) cell, stored
-//! as an escaped JSON string plus a content hash over `fingerprint +
-//! record bytes`.
+//! A journal is a directory ([`create`] / [`load`]) holding one JSONL
+//! shard per worker (`shard-000.jsonl`, `shard-001.jsonl`, …) plus
+//! `quarantine.jsonl` for poison cells; a one-worker campaign is a
+//! one-shard directory. Each worker owns its shard exclusively, so
+//! appends never contend on a lock or serialize their fsyncs behind
+//! another worker's.
 //!
-//! **Sharded layout** ([`create_sharded`] / [`load_sharded`]): a
-//! directory holding one such JSONL per worker (`shard-000.jsonl`,
-//! `shard-001.jsonl`, …) plus `quarantine.jsonl` for poison cells. Each
-//! worker owns its shard exclusively, so appends never contend on a
-//! lock or serialize their fsyncs behind another worker's — the write
-//! path scales with the pool instead of bottlenecking on one file.
-//! Every shard carries the full header discipline independently, which
-//! shrinks the failure domain: a stale or garbled shard invalidates
-//! *its* records, not the campaign.
+//! Line 1 of every file is a header carrying its shard index and a
+//! *fingerprint* — a hash over everything that determines cell results:
+//! code revision, matrix schema, transfer size, repetition count, the
+//! exact seed schedule, the CCA × MTU job list, and the retry policy
+//! (whose human-readable spec the header also records, so resume
+//! provably replays the same schedule). Every following line is one
+//! completed (or terminally failed) cell, stored as an escaped JSON
+//! string plus a content hash over `fingerprint + record bytes`.
 //!
-//! The paranoia is deliberate and layered:
+//! The paranoia is deliberate and layered, and validation is per shard:
 //! * a **fingerprint mismatch** (code changed, scale changed, seeds
-//!   changed, retry policy changed) invalidates that file — stale cells
-//!   are never merged into a fresh campaign;
-//! * a **bad content hash** invalidates just that record — bit rot or a
-//!   partial overwrite costs one cell, not the run;
-//! * a **torn final line** (the classic crash-mid-append) is silently
-//!   dropped — exactly the record the crash interrupted;
+//!   changed, retry policy changed) or a garbled header invalidates that
+//!   shard — stale cells are never merged into a fresh campaign, and the
+//!   other shards still count;
+//! * a **bad content hash** or an unparsable line invalidates just that
+//!   record — bit rot or a partial overwrite costs one cell, not the run;
+//! * a **torn final line** (the classic crash-mid-append) is one such
+//!   unparsable record: it is counted in [`LoadedShards::dropped`] and
+//!   exactly the cell the crash interrupted re-runs;
 //! * records are **fsynced one by one**, so a journal never claims a
 //!   cell the disk doesn't hold.
 //!
@@ -39,6 +37,7 @@ use crate::matrix::{Cell, CellFailure, MATRIX_SCHEMA_VERSION};
 use crate::scale::Scale;
 use cca::CcaKind;
 use serde::Value;
+use serde_json::json;
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
@@ -152,7 +151,7 @@ impl Entry {
     }
 }
 
-/// What loading a journal produced.
+/// What loading one journal file produced.
 #[derive(Debug, Default)]
 pub struct Loaded {
     /// Validated entries, in journal (completion) order.
@@ -160,16 +159,16 @@ pub struct Loaded {
     /// Records dropped for corruption: unparsable line, bad hash, or a
     /// payload that no longer deserializes. (A torn final line counts.)
     pub dropped: usize,
-    /// True when the whole journal was discarded: missing/garbled header
+    /// True when the whole file was discarded: missing/garbled header
     /// or a fingerprint from a different campaign configuration.
     pub stale: bool,
 }
 
-/// What loading a sharded journal directory produced. Validation is
+/// What loading a journal directory produced. Validation is
 /// per shard: one stale or torn shard costs its own records only.
 #[derive(Debug, Default)]
 pub struct LoadedShards {
-    /// Validated entries merged across shards ([`dedupe`]d, so each cell
+    /// Validated entries merged across shards (deduplicated, so each cell
     /// key appears at most once), in shard-name-then-line order.
     pub entries: Vec<Entry>,
     /// Corrupt records dropped across all non-stale shards.
@@ -201,54 +200,6 @@ impl std::error::Error for JournalError {
     }
 }
 
-/// Load and validate a journal. A missing file is an empty (not stale)
-/// journal; only I/O errors other than `NotFound` are surfaced.
-pub fn load(path: &Path, fingerprint: &Fingerprint) -> Result<Loaded, JournalError> {
-    let body = match std::fs::read_to_string(path) {
-        Ok(body) => body,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Loaded::default()),
-        Err(source) => {
-            return Err(JournalError {
-                path: path.to_path_buf(),
-                source,
-            })
-        }
-    };
-    let mut lines = body.split('\n');
-    let header = lines.next().unwrap_or("");
-    let mut out = Loaded::default();
-    let header_ok = serde_json::from_str::<Value>(header)
-        .ok()
-        .map(|h| {
-            h["journal"].as_str() == Some("greenenvy-campaign")
-                && h["schema"].as_u64() == Some(JOURNAL_SCHEMA as u64)
-                && h["fingerprint"].as_str() == Some(fingerprint.hex())
-        })
-        .unwrap_or(false);
-    if !header_ok {
-        out.stale = true;
-        return Ok(out);
-    }
-    let lines: Vec<&str> = lines.collect();
-    for (i, line) in lines.iter().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let last = i + 1 == lines.len();
-        match parse_record(line, fingerprint) {
-            Some(entry) => out.entries.push(entry),
-            // A torn *final* line is the expected crash signature and is
-            // dropped silently; corruption anywhere else is counted too
-            // (the cell re-runs either way) but suggests real bit rot.
-            None => {
-                let _ = last;
-                out.dropped += 1;
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// The per-worker shard file inside a sharded journal directory.
 pub fn shard_path(dir: &Path, worker: usize) -> PathBuf {
     dir.join(format!("shard-{worker:03}.jsonl"))
@@ -263,8 +214,8 @@ pub fn quarantine_path(dir: &Path) -> PathBuf {
 /// independently, and merge the survivors. A missing directory is an
 /// empty journal. Merge order is deterministic — shards sorted by file
 /// name, lines in append order — and duplicate cell keys across shards
-/// collapse via [`dedupe`].
-pub fn load_sharded(dir: &Path, fingerprint: &Fingerprint) -> Result<LoadedShards, JournalError> {
+/// collapse via `dedupe`.
+pub fn load(dir: &Path, fingerprint: &Fingerprint) -> Result<LoadedShards, JournalError> {
     let mut files: Vec<PathBuf> = Vec::new();
     match fs::read_dir(dir) {
         Ok(iter) => {
@@ -291,7 +242,7 @@ pub fn load_sharded(dir: &Path, fingerprint: &Fingerprint) -> Result<LoadedShard
     };
     let mut all = Vec::new();
     for file in &files {
-        let loaded = load(file, fingerprint)?;
+        let loaded = load_file(file, fingerprint)?;
         if loaded.stale {
             out.stale_shards += 1;
         } else {
@@ -303,12 +254,49 @@ pub fn load_sharded(dir: &Path, fingerprint: &Fingerprint) -> Result<LoadedShard
     Ok(out)
 }
 
+/// Load and validate one journal file. A missing file is an empty (not
+/// stale) journal; only I/O errors other than `NotFound` are surfaced.
+fn load_file(path: &Path, fingerprint: &Fingerprint) -> Result<Loaded, JournalError> {
+    let body = match fs::read_to_string(path) {
+        Ok(body) => body,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Loaded::default()),
+        Err(source) => {
+            return Err(JournalError {
+                path: path.to_path_buf(),
+                source,
+            })
+        }
+    };
+    let mut lines = body.split('\n');
+    let header = lines.next().unwrap_or("");
+    let mut out = Loaded::default();
+    let header_ok = serde_json::from_str::<Value>(header)
+        .ok()
+        .map(|h| {
+            h["journal"].as_str() == Some("greenenvy-campaign")
+                && h["schema"].as_u64() == Some(JOURNAL_SCHEMA as u64)
+                && h["fingerprint"].as_str() == Some(fingerprint.hex())
+        })
+        .unwrap_or(false);
+    if !header_ok {
+        out.stale = true;
+        return Ok(out);
+    }
+    for line in lines.filter(|line| !line.is_empty()) {
+        match parse_record(line, fingerprint) {
+            Some(entry) => out.entries.push(entry),
+            None => out.dropped += 1,
+        }
+    }
+    Ok(out)
+}
+
 /// Collapse duplicate cell keys from a merged entry stream into one
 /// entry each, deterministically: a completed cell always beats a
 /// failure for the same key, a failure with more cumulative attempts
 /// beats one with fewer, and otherwise the later entry wins. First-seen
 /// key order is preserved.
-pub fn dedupe(entries: Vec<Entry>) -> Vec<Entry> {
+fn dedupe(entries: Vec<Entry>) -> Vec<Entry> {
     let mut order: Vec<(String, u32)> = Vec::new();
     let mut best: BTreeMap<(String, u32), Entry> = BTreeMap::new();
     for entry in entries {
@@ -354,7 +342,7 @@ fn parse_record(line: &str, fingerprint: &Fingerprint) -> Option<Entry> {
     }
 }
 
-/// An open journal (or shard) being appended to.
+/// An open journal shard (or quarantine file) being appended to.
 pub struct Writer {
     path: PathBuf,
     file: File,
@@ -362,40 +350,26 @@ pub struct Writer {
 }
 
 impl Writer {
-    /// Create a fresh journal at `path` (atomically replacing whatever
-    /// was there) containing the header and the given pre-validated
-    /// entries, then open it for appending. Passing the entries through
-    /// creation is how resume *compacts*: torn or corrupt lines from the
-    /// previous life are not carried forward.
-    pub fn create(
+    /// Create a fresh journal file at `path` (atomically replacing
+    /// whatever was there) containing the header and the given
+    /// pre-validated entries, then open it for appending. Passing the
+    /// entries through creation is how resume *compacts*: torn or corrupt
+    /// lines from the previous life are not carried forward. `shard`
+    /// names the file within its directory: the worker index, or
+    /// `"quarantine"`.
+    fn create(
         path: &Path,
         fingerprint: &Fingerprint,
         entries: &[Entry],
+        shard: Value,
     ) -> Result<Writer, JournalError> {
-        Writer::create_with_shard(path, fingerprint, entries, None)
-    }
-
-    fn create_with_shard(
-        path: &Path,
-        fingerprint: &Fingerprint,
-        entries: &[Entry],
-        shard: Option<usize>,
-    ) -> Result<Writer, JournalError> {
-        let header = match shard {
-            Some(i) => serde_json::json!({
-                "journal": "greenenvy-campaign",
-                "schema": JOURNAL_SCHEMA,
-                "fingerprint": (fingerprint.hex()),
-                "policy": (fingerprint.policy_spec()),
-                "shard": i
-            }),
-            None => serde_json::json!({
-                "journal": "greenenvy-campaign",
-                "schema": JOURNAL_SCHEMA,
-                "fingerprint": (fingerprint.hex()),
-                "policy": (fingerprint.policy_spec())
-            }),
-        };
+        let header = json!({
+            "journal": "greenenvy-campaign",
+            "schema": JOURNAL_SCHEMA,
+            "fingerprint": (fingerprint.hex()),
+            "policy": (fingerprint.policy_spec()),
+            "shard": shard
+        });
         let mut body = format!(
             "{}\n",
             serde_json::to_string(&header).expect("journal header serializes")
@@ -429,7 +403,7 @@ impl Writer {
         };
         let record = record.expect("journal records serialize");
         let hash = fingerprint.record_hash(&record);
-        let line = serde_json::json!({"kind": kind, "hash": hash, "record": record});
+        let line = json!({"kind": kind, "hash": hash, "record": record});
         format!(
             "{}\n",
             serde_json::to_string(&line).expect("journal line serializes")
@@ -454,13 +428,13 @@ impl Writer {
     }
 }
 
-/// Create a fresh sharded journal under `dir`: one shard per worker,
-/// all previous shard and quarantine files wiped first (so shards from
-/// a wider previous pool cannot resurrect stale records on the *next*
-/// resume). The compacted survivors `keep` land in shard 0; the other
-/// shards start empty. Returns one open writer per worker, in index
-/// order.
-pub fn create_sharded(
+/// Create a fresh journal directory at `dir`: one shard per worker (at
+/// least one), all previous shard and quarantine files wiped first (so
+/// shards from a wider previous pool cannot resurrect stale records on
+/// the *next* resume). The compacted survivors `keep` land in shard 0;
+/// the other shards start empty. Returns one open writer per worker, in
+/// index order.
+pub fn create(
     dir: &Path,
     fingerprint: &Fingerprint,
     keep: &[Entry],
@@ -483,18 +457,21 @@ pub fn create_sharded(
             })?;
         }
     }
-    let shards = shards.max(1);
-    let mut writers = Vec::with_capacity(shards);
-    for i in 0..shards {
-        let entries: &[Entry] = if i == 0 { keep } else { &[] };
-        writers.push(Writer::create_with_shard(
-            &shard_path(dir, i),
-            fingerprint,
-            entries,
-            Some(i),
-        )?);
-    }
-    Ok(writers)
+    (0..shards.max(1))
+        .map(|i| {
+            let entries: &[Entry] = if i == 0 { keep } else { &[] };
+            Writer::create(&shard_path(dir, i), fingerprint, entries, json!(i))
+        })
+        .collect()
+}
+
+/// Create the empty quarantine file of the journal at `dir` and open it
+/// for appending.
+pub(crate) fn create_quarantine(
+    dir: &Path,
+    fingerprint: &Fingerprint,
+) -> Result<Writer, JournalError> {
+    Writer::create(&quarantine_path(dir), fingerprint, &[], json!("quarantine"))
 }
 
 #[cfg(test)]
@@ -533,23 +510,38 @@ mod tests {
         dir
     }
 
+    /// A one-shard journal at `dir` holding `cells`, closed again.
+    fn one_shard(dir: &Path, fp: &Fingerprint, cells: &[Cell]) {
+        let mut writers = create(dir, fp, &[], 1).unwrap();
+        for c in cells {
+            writers[0].append(&Entry::Cell(c.clone())).unwrap();
+        }
+    }
+
+    /// One JSON nesting level more than a stack can hold: a line the
+    /// parser must refuse instead of recursing into.
+    fn deeply_nested() -> String {
+        "[".repeat(1_000_000)
+    }
+
     #[test]
     fn roundtrip_preserves_cells_bit_exactly() {
         let dir = scratch("roundtrip");
-        let path = dir.join("j.jsonl");
         let fp = Fingerprint::of(&Scale::quick());
         let cells = [
             stub_cell(CcaKind::Cubic, 1500, 0.1),
             stub_cell(CcaKind::Reno, 9000, std::f64::consts::PI),
         ];
-        let mut w = Writer::create(&path, &fp, &[]).unwrap();
+        let mut writers = create(&dir, &fp, &[], 1).unwrap();
         for c in &cells {
-            w.append(&Entry::Cell(c.clone())).unwrap();
+            writers[0].append(&Entry::Cell(c.clone())).unwrap();
         }
-        w.append(&Entry::Failed(stub_failure(CcaKind::Bbr, 3000, 2)))
+        writers[0]
+            .append(&Entry::Failed(stub_failure(CcaKind::Bbr, 3000, 2)))
             .unwrap();
-        let loaded = load(&path, &fp).unwrap();
-        assert!(!loaded.stale);
+        let loaded = load(&dir, &fp).unwrap();
+        assert_eq!(loaded.shards, 1);
+        assert_eq!(loaded.stale_shards, 0);
         assert_eq!(loaded.dropped, 0);
         assert_eq!(loaded.entries.len(), 3);
         for (entry, original) in loaded.entries.iter().zip(&cells) {
@@ -571,24 +563,22 @@ mod tests {
     #[test]
     fn missing_journal_is_empty_not_stale() {
         let fp = Fingerprint::of(&Scale::quick());
-        let loaded = load(Path::new("/nonexistent/journal.jsonl"), &fp).unwrap();
-        assert!(!loaded.stale);
+        let loaded = load(Path::new("/nonexistent/journal"), &fp).unwrap();
+        assert_eq!(loaded.shards, 0);
+        assert_eq!(loaded.stale_shards, 0);
         assert!(loaded.entries.is_empty());
     }
 
     #[test]
     fn fingerprint_mismatch_discards_everything() {
         let dir = scratch("stale");
-        let path = dir.join("j.jsonl");
         let fp_quick = Fingerprint::of(&Scale::quick());
-        let mut w = Writer::create(&path, &fp_quick, &[]).unwrap();
-        w.append(&Entry::Cell(stub_cell(CcaKind::Cubic, 1500, 1.0)))
-            .unwrap();
+        one_shard(&dir, &fp_quick, &[stub_cell(CcaKind::Cubic, 1500, 1.0)]);
         // Same journal read under a different campaign configuration.
         let fp_std = Fingerprint::of(&Scale::standard());
         assert_ne!(fp_quick, fp_std);
-        let loaded = load(&path, &fp_std).unwrap();
-        assert!(loaded.stale);
+        let loaded = load(&dir, &fp_std).unwrap();
+        assert_eq!(loaded.stale_shards, 1);
         assert!(loaded.entries.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -598,11 +588,8 @@ mod tests {
         // Same scale, different retry policy: the seed trajectories a
         // failure explores differ, so the journal must read as stale.
         let dir = scratch("policy");
-        let path = dir.join("j.jsonl");
         let fp_default = Fingerprint::of(&Scale::quick());
-        let mut w = Writer::create(&path, &fp_default, &[]).unwrap();
-        w.append(&Entry::Cell(stub_cell(CcaKind::Cubic, 1500, 1.0)))
-            .unwrap();
+        one_shard(&dir, &fp_default, &[stub_cell(CcaKind::Cubic, 1500, 1.0)]);
         let fp_patient = Fingerprint::for_policy(
             &Scale::quick(),
             &RetryPolicy {
@@ -611,53 +598,57 @@ mod tests {
             },
         );
         assert_ne!(fp_default, fp_patient);
-        let loaded = load(&path, &fp_patient).unwrap();
-        assert!(loaded.stale);
+        let loaded = load(&dir, &fp_patient).unwrap();
+        assert_eq!(loaded.stale_shards, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_final_line_drops_only_that_record() {
         let dir = scratch("torn");
-        let path = dir.join("j.jsonl");
         let fp = Fingerprint::of(&Scale::quick());
-        let mut w = Writer::create(&path, &fp, &[]).unwrap();
-        w.append(&Entry::Cell(stub_cell(CcaKind::Cubic, 1500, 1.0)))
-            .unwrap();
-        w.append(&Entry::Cell(stub_cell(CcaKind::Reno, 3000, 2.0)))
-            .unwrap();
-        drop(w);
+        one_shard(
+            &dir,
+            &fp,
+            &[
+                stub_cell(CcaKind::Cubic, 1500, 1.0),
+                stub_cell(CcaKind::Reno, 3000, 2.0),
+            ],
+        );
         // Simulate a crash mid-append: chop the last record in half.
-        let body = std::fs::read_to_string(&path).unwrap();
+        let shard = shard_path(&dir, 0);
+        let body = std::fs::read_to_string(&shard).unwrap();
         let cut = body.len() - 25;
-        std::fs::write(&path, &body[..cut]).unwrap();
-        let loaded = load(&path, &fp).unwrap();
-        assert!(!loaded.stale);
+        std::fs::write(&shard, &body[..cut]).unwrap();
+        let loaded = load(&dir, &fp).unwrap();
+        assert_eq!(loaded.stale_shards, 0);
         assert_eq!(loaded.entries.len(), 1, "first record survives");
-        assert_eq!(loaded.dropped, 1, "torn record is dropped");
+        assert_eq!(loaded.dropped, 1, "torn record is dropped and counted");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn flipped_bit_invalidates_one_record() {
         let dir = scratch("bitrot");
-        let path = dir.join("j.jsonl");
         let fp = Fingerprint::of(&Scale::quick());
-        let mut w = Writer::create(&path, &fp, &[]).unwrap();
-        w.append(&Entry::Cell(stub_cell(CcaKind::Cubic, 1500, 1.0)))
-            .unwrap();
-        w.append(&Entry::Cell(stub_cell(CcaKind::Reno, 3000, 2.0)))
-            .unwrap();
-        drop(w);
+        one_shard(
+            &dir,
+            &fp,
+            &[
+                stub_cell(CcaKind::Cubic, 1500, 1.0),
+                stub_cell(CcaKind::Reno, 3000, 2.0),
+            ],
+        );
         // Corrupt a digit inside the *first* record's payload (keeps the
         // line valid JSON; the content hash must catch it).
-        let body = std::fs::read_to_string(&path).unwrap();
+        let shard = shard_path(&dir, 0);
+        let body = std::fs::read_to_string(&shard).unwrap();
         let lines: Vec<&str> = body.lines().collect();
         let corrupted = lines[1].replacen("1500", "1501", 1);
         let body = format!("{}\n{}\n{}\n", lines[0], corrupted, lines[2]);
-        std::fs::write(&path, body).unwrap();
-        let loaded = load(&path, &fp).unwrap();
-        assert!(!loaded.stale);
+        std::fs::write(&shard, body).unwrap();
+        let loaded = load(&dir, &fp).unwrap();
+        assert_eq!(loaded.stale_shards, 0);
         assert_eq!(loaded.dropped, 1);
         assert_eq!(loaded.entries.len(), 1);
         let Entry::Cell(c) = &loaded.entries[0] else {
@@ -668,17 +659,66 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_record_is_dropped_not_fatal() {
+        // The JSON parser must refuse the line rather than overflow the
+        // stack: one hostile record costs one cell, never the resume.
+        let dir = scratch("deep-record");
+        let fp = Fingerprint::of(&Scale::quick());
+        let mut writers = create(&dir, &fp, &[], 1).unwrap();
+        writers[0]
+            .append(&Entry::Cell(stub_cell(CcaKind::Cubic, 1500, 1.0)))
+            .unwrap();
+        let mut raw = OpenOptions::new()
+            .append(true)
+            .open(shard_path(&dir, 0))
+            .unwrap();
+        writeln!(raw, "{}", deeply_nested()).unwrap();
+        writers[0]
+            .append(&Entry::Cell(stub_cell(CcaKind::Reno, 3000, 2.0)))
+            .unwrap();
+        let loaded = load(&dir, &fp).unwrap();
+        assert_eq!(loaded.stale_shards, 0);
+        assert_eq!(loaded.dropped, 1, "the nested line is counted as corrupt");
+        assert_eq!(loaded.entries.len(), 2, "its neighbours survive");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn deeply_nested_header_makes_its_shard_stale() {
+        let dir = scratch("deep-header");
+        let fp = Fingerprint::of(&Scale::quick());
+        let mut writers = create(&dir, &fp, &[], 2).unwrap();
+        writers[0]
+            .append(&Entry::Cell(stub_cell(CcaKind::Cubic, 1500, 1.0)))
+            .unwrap();
+        writers[1]
+            .append(&Entry::Cell(stub_cell(CcaKind::Reno, 3000, 2.0)))
+            .unwrap();
+        drop(writers);
+        let shard1 = shard_path(&dir, 1);
+        let body = std::fs::read_to_string(&shard1).unwrap();
+        let records = body.split_once('\n').unwrap().1;
+        std::fs::write(&shard1, format!("{}\n{records}", deeply_nested())).unwrap();
+        let loaded = load(&dir, &fp).unwrap();
+        assert_eq!(loaded.stale_shards, 1);
+        assert_eq!(loaded.entries.len(), 1);
+        assert!(matches!(&loaded.entries[0], Entry::Cell(c) if c.cca == "cubic"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn create_compacts_and_reopens_for_append() {
         let dir = scratch("compact");
-        let path = dir.join("j.jsonl");
         let fp = Fingerprint::of(&Scale::quick());
         let kept = Entry::Cell(stub_cell(CcaKind::Vegas, 6000, 4.0));
-        let mut w = Writer::create(&path, &fp, std::slice::from_ref(&kept)).unwrap();
-        w.append(&Entry::Cell(stub_cell(CcaKind::Bbr, 1500, 5.0)))
+        let mut writers = create(&dir, &fp, std::slice::from_ref(&kept), 2).unwrap();
+        writers[0]
+            .append(&Entry::Cell(stub_cell(CcaKind::Bbr, 1500, 5.0)))
             .unwrap();
-        let loaded = load(&path, &fp).unwrap();
+        let loaded = load(&dir, &fp).unwrap();
         assert_eq!(loaded.entries.len(), 2);
         assert_eq!(loaded.dropped, 0);
+        assert!(matches!(&loaded.entries[0], Entry::Cell(c) if c.cca == "vegas"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -703,10 +743,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_roundtrip_merges_in_shard_order() {
-        let dir = scratch("sharded");
+    fn roundtrip_merges_in_shard_order() {
+        let dir = scratch("merge");
         let fp = Fingerprint::of(&Scale::quick());
-        let mut writers = create_sharded(&dir, &fp, &[], 3).unwrap();
+        let mut writers = create(&dir, &fp, &[], 3).unwrap();
         assert_eq!(writers.len(), 3);
         writers[0]
             .append(&Entry::Cell(stub_cell(CcaKind::Cubic, 1500, 1.0)))
@@ -717,7 +757,7 @@ mod tests {
         writers[1]
             .append(&Entry::Failed(stub_failure(CcaKind::Bbr, 9000, 2)))
             .unwrap();
-        let loaded = load_sharded(&dir, &fp).unwrap();
+        let loaded = load(&dir, &fp).unwrap();
         assert_eq!(loaded.shards, 3);
         assert_eq!(loaded.stale_shards, 0);
         assert_eq!(loaded.dropped, 0);
@@ -733,7 +773,7 @@ mod tests {
     fn stale_shard_costs_only_its_own_records() {
         let dir = scratch("shard-stale");
         let fp = Fingerprint::of(&Scale::quick());
-        let mut writers = create_sharded(&dir, &fp, &[], 2).unwrap();
+        let mut writers = create(&dir, &fp, &[], 2).unwrap();
         writers[0]
             .append(&Entry::Cell(stub_cell(CcaKind::Cubic, 1500, 1.0)))
             .unwrap();
@@ -746,7 +786,7 @@ mod tests {
         let shard1 = shard_path(&dir, 1);
         let body = std::fs::read_to_string(&shard1).unwrap();
         std::fs::write(&shard1, body.replacen("greenenvy-campaign", "foreign", 1)).unwrap();
-        let loaded = load_sharded(&dir, &fp).unwrap();
+        let loaded = load(&dir, &fp).unwrap();
         assert_eq!(loaded.stale_shards, 1);
         assert_eq!(loaded.entries.len(), 1);
         assert!(matches!(&loaded.entries[0], Entry::Cell(c) if c.cca == "cubic"));
@@ -754,23 +794,26 @@ mod tests {
     }
 
     #[test]
-    fn create_sharded_wipes_previous_wider_pools() {
+    fn create_wipes_previous_wider_pools_and_quarantine() {
         let dir = scratch("shard-wipe");
         let fp = Fingerprint::of(&Scale::quick());
-        let mut writers = create_sharded(&dir, &fp, &[], 4).unwrap();
+        let mut writers = create(&dir, &fp, &[], 4).unwrap();
         for w in writers.iter_mut() {
             w.append(&Entry::Cell(stub_cell(CcaKind::Cubic, 1500, 1.0)))
                 .unwrap();
         }
         drop(writers);
+        drop(create_quarantine(&dir, &fp).unwrap());
         // Recreate with a narrower pool: shard 003 must be gone, not
-        // lingering to resurrect stale records on a later resume.
-        let _ = create_sharded(&dir, &fp, &[], 2).unwrap();
+        // lingering to resurrect stale records on a later resume, and the
+        // previous life's quarantine story with it.
+        let _ = create(&dir, &fp, &[], 2).unwrap();
         assert!(shard_path(&dir, 0).exists());
         assert!(shard_path(&dir, 1).exists());
         assert!(!shard_path(&dir, 2).exists());
         assert!(!shard_path(&dir, 3).exists());
-        let loaded = load_sharded(&dir, &fp).unwrap();
+        assert!(!quarantine_path(&dir).exists());
+        let loaded = load(&dir, &fp).unwrap();
         assert_eq!(loaded.shards, 2);
         assert!(loaded.entries.is_empty(), "fresh shards start empty");
         let _ = std::fs::remove_dir_all(&dir);
@@ -796,12 +839,30 @@ mod tests {
     }
 
     #[test]
+    fn every_header_names_its_shard() {
+        let dir = scratch("headers");
+        let fp = Fingerprint::of(&Scale::quick());
+        drop(create(&dir, &fp, &[], 2).unwrap());
+        drop(create_quarantine(&dir, &fp).unwrap());
+        let header = |path: PathBuf| -> Value {
+            let body = std::fs::read_to_string(path).unwrap();
+            serde_json::from_str(body.lines().next().unwrap()).unwrap()
+        };
+        assert_eq!(header(shard_path(&dir, 0))["shard"].as_u64(), Some(0));
+        assert_eq!(header(shard_path(&dir, 1))["shard"].as_u64(), Some(1));
+        assert_eq!(
+            header(quarantine_path(&dir))["shard"].as_str(),
+            Some("quarantine")
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn quarantine_records_roundtrip() {
         use super::super::supervisor::AttemptRecord;
         let dir = scratch("quarantine");
-        let path = quarantine_path(&dir);
         let fp = Fingerprint::of(&Scale::quick());
-        let mut w = Writer::create(&path, &fp, &[]).unwrap();
+        let mut w = create_quarantine(&dir, &fp).unwrap();
         let rec = QuarantineRecord {
             cca: "cubic".into(),
             mtu: 1500,
@@ -819,7 +880,8 @@ mod tests {
             ],
         };
         w.append(&Entry::Quarantine(rec.clone())).unwrap();
-        let loaded = load(&path, &fp).unwrap();
+        assert_eq!(load(&dir, &fp).unwrap().shards, 0, "not a shard");
+        let loaded = load_file(&quarantine_path(&dir), &fp).unwrap();
         assert_eq!(loaded.entries.len(), 1);
         let Entry::Quarantine(q) = &loaded.entries[0] else {
             panic!("expected quarantine entry");

@@ -31,7 +31,7 @@
 //!   campaign that never had durability is a configuration error.)
 
 use super::cancel::CancelToken;
-use super::journal::{Entry, Fingerprint, JournalError, Writer};
+use super::journal::{self, Entry, Fingerprint, JournalError, Writer};
 use crate::matrix::{Cell, CellError, CellFailure, RETRY_SEED_SALT};
 use cca::CcaKind;
 use obs::{labels, MetricsRegistry, MetricsSnapshot};
@@ -181,41 +181,40 @@ pub struct SupervisionReport {
 pub(super) enum Journals {
     /// No durability (the plain-matrix path).
     None,
-    /// The classic single shared journal.
-    Single(Mutex<Writer>),
     /// One shard per worker: appends never cross-contend, and each
     /// worker's fsyncs queue behind its own file only.
-    Sharded(Vec<Mutex<Writer>>),
+    Shards(Vec<Mutex<Writer>>),
     /// Test-only: every append fails, exercising degraded mode without
     /// needing a genuinely full disk.
     #[cfg(test)]
     Failing,
 }
 
-/// The lazily created quarantine journal. Lazy so a healthy campaign
-/// leaves no empty `quarantine.jsonl` behind to alarm anyone.
+/// The lazily created `quarantine.jsonl` of the journal directory. Lazy
+/// so a healthy campaign leaves no empty quarantine file behind to alarm
+/// anyone.
 pub(super) struct QuarantineSink {
-    path: Option<PathBuf>,
+    dir: Option<PathBuf>,
     fingerprint: Fingerprint,
     writer: Mutex<Option<Writer>>,
 }
 
 impl QuarantineSink {
-    pub(super) fn new(path: Option<PathBuf>, fingerprint: Fingerprint) -> QuarantineSink {
+    pub(super) fn new(dir: Option<PathBuf>, fingerprint: Fingerprint) -> QuarantineSink {
         QuarantineSink {
-            path,
+            dir,
             fingerprint,
             writer: Mutex::new(None),
         }
     }
 
     fn append(&self, record: &QuarantineRecord) -> Result<(), JournalError> {
-        let Some(path) = &self.path else {
+        let Some(dir) = &self.dir else {
             return Ok(());
         };
         let mut slot = relock(&self.writer);
         if slot.is_none() {
-            *slot = Some(Writer::create(path, &self.fingerprint, &[])?);
+            *slot = Some(journal::create_quarantine(dir, &self.fingerprint)?);
         }
         if let Some(writer) = slot.as_mut() {
             writer.append(&Entry::Quarantine(record.clone()))?;
@@ -428,8 +427,7 @@ impl Supervisor<'_> {
         }
         let result = match &self.journals {
             Journals::None => Ok(()),
-            Journals::Single(w) => relock(w).append(entry),
-            Journals::Sharded(ws) => match ws.get(worker) {
+            Journals::Shards(ws) => match ws.get(worker) {
                 Some(w) => relock(w).append(entry),
                 None => Ok(()),
             },
@@ -757,9 +755,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("greenenvy-qsink-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("quarantine.jsonl");
+        let path = journal::quarantine_path(&dir);
         let fp = Fingerprint::of(&crate::scale::Scale::quick());
-        let sink = QuarantineSink::new(Some(path.clone()), fp);
+        let sink = QuarantineSink::new(Some(dir.clone()), fp);
         assert!(!path.exists(), "no file until the first quarantine");
         sink.append(&QuarantineRecord {
             cca: "cubic".into(),

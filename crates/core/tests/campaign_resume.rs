@@ -67,7 +67,7 @@ fn uninterrupted() -> Matrix {
 #[test]
 fn killed_campaign_resumes_to_a_bit_identical_matrix() {
     let dir = scratch("kill");
-    let journal_path = dir.join("campaign.jsonl");
+    let journal_dir = dir.join("journal");
 
     // Life 1: a SIGTERM-style cancellation lands after ~13 cells. (The
     // token is tripped from inside the runner, which is exactly what the
@@ -79,7 +79,7 @@ fn killed_campaign_resumes_to_a_bit_identical_matrix() {
         Scale::quick(),
         CampaignOptions {
             threads: 2,
-            journal: Some(journal_path.clone()),
+            journal_dir: Some(journal_dir.clone()),
             cancel: cancel.clone(),
             ..Default::default()
         },
@@ -107,7 +107,7 @@ fn killed_campaign_resumes_to_a_bit_identical_matrix() {
         Scale::quick(),
         CampaignOptions {
             threads: 4,
-            journal: Some(journal_path.clone()),
+            journal_dir: Some(journal_dir.clone()),
             resume: true,
             ..Default::default()
         },
@@ -131,33 +131,52 @@ fn killed_campaign_resumes_to_a_bit_identical_matrix() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Run the full campaign once, journaled, and return the journal path.
-fn journaled_run(dir: &std::path::Path) -> PathBuf {
-    let journal_path = dir.join("campaign.jsonl");
+/// Run the full campaign once, journaled over two workers, and return
+/// the journal directory.
+fn journaled_run(dir: &Path) -> PathBuf {
+    let journal_dir = dir.join("journal");
     let report = run_campaign_with_runner(
         Scale::quick(),
         CampaignOptions {
             threads: 2,
-            journal: Some(journal_path.clone()),
+            journal_dir: Some(journal_dir.clone()),
             ..Default::default()
         },
         |cca, mtu, _b, seeds| Ok(fake_cell(cca, mtu, seeds)),
     )
     .unwrap();
     assert_eq!(report.executed, TOTAL);
-    journal_path
+    journal_dir
+}
+
+/// The shard files of a journal directory, in shard order.
+fn shards(journal_dir: &Path) -> Vec<PathBuf> {
+    (0..)
+        .map(|i| journal::shard_path(journal_dir, i))
+        .take_while(|p| p.exists())
+        .collect()
+}
+
+/// The shard holding the most records (ties: the lowest index).
+fn fullest_shard(journal_dir: &Path) -> PathBuf {
+    let lines = |p: &PathBuf| std::fs::read_to_string(p).unwrap().lines().count();
+    shards(journal_dir)
+        .into_iter()
+        .rev()
+        .max_by_key(lines)
+        .unwrap()
 }
 
 /// Resume against the (possibly damaged) journal, counting how many
 /// cells actually re-execute, and assert the final matrix still matches
 /// the golden run bit for bit.
-fn resume_and_count(journal_path: &Path) -> usize {
+fn resume_and_count(journal_dir: &Path) -> usize {
     let calls = AtomicUsize::new(0);
     let report = run_campaign_with_runner(
         Scale::quick(),
         CampaignOptions {
             threads: 2,
-            journal: Some(journal_path.to_path_buf()),
+            journal_dir: Some(journal_dir.to_path_buf()),
             resume: true,
             ..Default::default()
         },
@@ -175,56 +194,82 @@ fn resume_and_count(journal_path: &Path) -> usize {
 #[test]
 fn truncated_final_line_re_runs_exactly_one_cell() {
     let dir = scratch("torn");
-    let journal_path = journaled_run(&dir);
-    // Tear the last record in half, as a crash mid-append would.
-    let body = std::fs::read_to_string(&journal_path).unwrap();
-    std::fs::write(&journal_path, &body[..body.len() - 40]).unwrap();
-    assert_eq!(resume_and_count(&journal_path), 1);
+    let journal_dir = journaled_run(&dir);
+    // Tear a shard's last record in half, as a crash mid-append would.
+    let shard = fullest_shard(&journal_dir);
+    let body = std::fs::read_to_string(&shard).unwrap();
+    std::fs::write(&shard, &body[..body.len() - 40]).unwrap();
+    assert_eq!(resume_and_count(&journal_dir), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn bad_record_hash_re_runs_exactly_that_cell() {
     let dir = scratch("hash");
-    let journal_path = journaled_run(&dir);
-    // Flip one digit inside a mid-journal record's payload. The line
-    // stays valid JSON; only the content hash can catch it.
-    let body = std::fs::read_to_string(&journal_path).unwrap();
+    let journal_dir = journaled_run(&dir);
+    // Flip one digit inside a mid-shard record's payload. The line stays
+    // valid JSON; only the content hash can catch it.
+    let shard = fullest_shard(&journal_dir);
+    let body = std::fs::read_to_string(&shard).unwrap();
     let mut lines: Vec<String> = body.lines().map(String::from).collect();
-    assert!(lines.len() > 20);
-    let target = &lines[20];
+    assert!(lines.len() > 2, "the fullest shard holds records");
+    let mid = lines.len() / 2;
+    let target = &lines[mid];
     let corrupted = if target.contains("1500") {
         target.replacen("1500", "1501", 1)
     } else {
         target.replacen("mtu", "mtU", 1)
     };
     assert_ne!(&corrupted, target);
-    lines[20] = corrupted;
-    std::fs::write(&journal_path, lines.join("\n") + "\n").unwrap();
-    assert_eq!(resume_and_count(&journal_path), 1);
+    lines[mid] = corrupted;
+    std::fs::write(&shard, lines.join("\n") + "\n").unwrap();
+    assert_eq!(resume_and_count(&journal_dir), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn mismatched_fingerprint_re_runs_everything() {
     let dir = scratch("fingerprint");
-    let journal_path = journaled_run(&dir);
-    // A journal from a different campaign configuration: rewrite the
-    // header with another scale's fingerprint. Every record now belongs
-    // to a run whose results are not comparable.
+    let journal_dir = journaled_run(&dir);
+    // A journal from a different campaign configuration: every shard's
+    // header carries another scale's fingerprint, with the current
+    // schema, policy and shard index left as written. Every record now
+    // belongs to a run whose results are not comparable.
+    let ours = Fingerprint::of(&Scale::quick());
     let other = Fingerprint::of(&Scale::standard());
-    let body = std::fs::read_to_string(&journal_path).unwrap();
-    let mut lines: Vec<&str> = body.lines().collect();
-    let forged = format!(
-        "{{\"journal\":\"greenenvy-campaign\",\"schema\":1,\"fingerprint\":\"{}\"}}",
-        other.hex()
-    );
-    lines[0] = &forged;
-    std::fs::write(&journal_path, lines.join("\n") + "\n").unwrap();
-    // Sanity: the loader now reports the whole journal stale.
-    let loaded = journal::load(&journal_path, &Fingerprint::of(&Scale::quick())).unwrap();
-    assert!(loaded.stale);
-    assert_eq!(resume_and_count(&journal_path), TOTAL);
+    assert_ne!(ours, other);
+    for shard in shards(&journal_dir) {
+        let body = std::fs::read_to_string(&shard).unwrap();
+        let (header, records) = body.split_once('\n').unwrap();
+        assert!(header.contains("\"shard\""), "{header}");
+        let forged = header.replacen(ours.hex(), other.hex(), 1);
+        assert_ne!(forged, header);
+        std::fs::write(&shard, format!("{forged}\n{records}")).unwrap();
+    }
+    // Only the fingerprint differs: under `other` the headers are valid
+    // (no shard is stale) ...
+    let as_other = journal::load(&journal_dir, &other).unwrap();
+    assert_eq!(as_other.stale_shards, 0);
+    // ... and under this campaign's fingerprint every shard is stale.
+    let loaded = journal::load(&journal_dir, &ours).unwrap();
+    assert_eq!(loaded.stale_shards, loaded.shards);
+    assert!(loaded.entries.is_empty());
+    assert_eq!(resume_and_count(&journal_dir), TOTAL);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn deeply_nested_line_costs_nothing_on_resume() {
+    // One line of a million `[` must be dropped as corrupt, not recurse
+    // the parser into a stack overflow that would abort the resume.
+    let dir = scratch("nested");
+    let journal_dir = journaled_run(&dir);
+    let shard = fullest_shard(&journal_dir);
+    let body = std::fs::read_to_string(&shard).unwrap();
+    std::fs::write(&shard, body + &"[".repeat(1_000_000) + "\n").unwrap();
+    let loaded = journal::load(&journal_dir, &Fingerprint::of(&Scale::quick())).unwrap();
+    assert_eq!(loaded.dropped, 1);
+    assert_eq!(resume_and_count(&journal_dir), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

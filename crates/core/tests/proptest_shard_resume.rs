@@ -1,7 +1,7 @@
-//! Property test: sharded-journal resume survives ANY per-shard
-//! corruption combination with a byte-identical merged matrix.
+//! Property test: journal resume survives ANY per-shard corruption
+//! combination with a byte-identical merged matrix.
 //!
-//! The single-journal integration tests pin three corruption modes
+//! The `campaign_resume` integration tests pin three corruption modes
 //! (torn final line, flipped bit, stale fingerprint) one at a time.
 //! Sharding multiplies the failure surface — each shard can be torn,
 //! rotted, stale, truncated, or intact *independently* — so here the
@@ -178,7 +178,7 @@ proptest! {
         // the same loader the campaign will use, not guessed from the
         // corruption list.
         let fp = Fingerprint::of(&Scale::quick());
-        let survivors = journal::load_sharded(&dir, &fp).unwrap();
+        let survivors = journal::load(&dir, &fp).unwrap();
         let intact_cells = survivors
             .entries
             .iter()

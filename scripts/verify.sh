@@ -42,8 +42,8 @@
 #             quarantine.jsonl carrying the attempt history); the same
 #             campaign kill -9'd mid-flight and resumed on a narrower
 #             pool must produce a byte-identical cells projection; and
-#             the sharded journal must hold the single-journal
-#             throughput baseline (perf_baseline --check-journal).
+#             the 4-shard journal must hold the one-shard throughput
+#             baseline (perf_baseline --check-journal).
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -160,10 +160,11 @@ stage_resume() {
         cargo run --release --offline --manifest-path "$repo/Cargo.toml" \
         -p bench --bin campaign -- --paranoid --threads 2) &
     local pid=$!
-    local journal="$drill/drill/results/campaign_tiny.jsonl"
+    local journal="$drill/drill/results/campaign_tiny"
     for _ in $(seq 1 600); do
-        # >5 lines = header + some journaled cells: interrupt mid-flight.
-        if [[ -f "$journal" ]] && [[ $(wc -l <"$journal") -gt 5 ]]; then break; fi
+        # >6 lines = 2 shard headers + some journaled cells: interrupt
+        # mid-flight.
+        if [[ $(cat "$journal"/shard-*.jsonl 2>/dev/null | wc -l) -gt 6 ]]; then break; fi
         if ! kill -0 "$pid" 2>/dev/null; then break; fi
         sleep 0.1
     done
