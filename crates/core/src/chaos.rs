@@ -129,14 +129,7 @@ impl From<crate::campaign::persist::PersistError> for ChaosError {
 /// Declare one sweep endpoint: bulk CUBIC flows on the dumbbell, the
 /// swept loss rate as a chaos phase, observability when `--trace-out`
 /// is active.
-fn endpoint(
-    cfg: &Config,
-    name: &str,
-    flows: Vec<Traffic>,
-    loss: f64,
-    seed: u64,
-    observed: bool,
-) -> ScenarioSpec {
+fn endpoint(cfg: &Config, name: &str, flows: Vec<Traffic>, loss: f64, seed: u64) -> ScenarioSpec {
     let mut b = ScenarioBuilder::new(name).with_seed(seed).with_mtu(cfg.mtu);
     for t in flows {
         b = b.traffic(t);
@@ -144,7 +137,7 @@ fn endpoint(
     if loss > 0.0 {
         b = b.chaos(ChaosPhase::Loss { prob: loss });
     }
-    if observed && cfg.trace_out.is_some() {
+    if cfg.trace_out.is_some() {
         b = b
             .with_observability()
             .with_trace(SimDuration::from_millis(10));
@@ -188,15 +181,12 @@ pub fn run(cfg: &Config) -> std::result::Result<Result, ChaosError> {
         let mut retx = Vec::new();
         let mut checks = Vec::new();
         for &seed in &cfg.seeds {
+            let fair_spec = endpoint(cfg, "fair", vec![bulk(), bulk()], loss, seed);
             // The serial hand-off time: when a solo flow on the *same
             // lossy wire* finishes (the loss is part of the schedule
             // being compared, not an external disturbance).
-            let solo = endpoint(cfg, "solo", vec![bulk()], loss, seed, false).run()?;
-            let handoff = solo.measured.reports[0]
-                .completed_at
-                .saturating_since(SimTime::ZERO);
-
-            let fair = endpoint(cfg, "fair", vec![bulk(), bulk()], loss, seed, true).run()?;
+            let handoff = fair_spec.solo_handoff()?;
+            let fair = fair_spec.run()?;
             let serial = endpoint(
                 cfg,
                 "serial",
@@ -210,7 +200,6 @@ pub fn run(cfg: &Config) -> std::result::Result<Result, ChaosError> {
                 ],
                 loss,
                 seed,
-                true,
             )
             .run()?;
             for (label, run) in [

@@ -108,31 +108,6 @@ fn throttled_scenario(cfg: &Config, fraction: f64, seed: u64) -> Scenario {
     .with_background_load(cfg.background)
 }
 
-/// Serial schedule: flow #1 alone at line rate, then flow #2. The second
-/// flow's start is the measured solo completion time of the first (a
-/// two-phase deterministic construction).
-fn serial_scenario(cfg: &Config, seed: u64) -> Scenario {
-    let solo = Scenario::new(
-        cfg.mtu,
-        vec![FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes)],
-    )
-    .with_seed(seed);
-    let solo_fct = workload::scenario::run(&solo)
-        .expect("solo flow completes")
-        .reports[0]
-        .completed_at;
-    Scenario::new(
-        cfg.mtu,
-        vec![
-            FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes),
-            FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes)
-                .with_start_delay(solo_fct.saturating_since(netsim::time::SimTime::ZERO)),
-        ],
-    )
-    .with_seed(seed)
-    .with_background_load(cfg.background)
-}
-
 struct RawPoint {
     fraction: f64,
     energy: Vec<f64>,
@@ -157,7 +132,15 @@ fn measure(scenarios: impl Iterator<Item = Scenario>, fraction: f64) -> RawPoint
 /// Run the sweep.
 pub fn run(cfg: &Config) -> Result {
     let fair = measure(cfg.seeds.iter().map(|&s| fair_scenario(cfg, s)), 0.5);
-    let serial = measure(cfg.seeds.iter().map(|&s| serial_scenario(cfg, s)), 1.0);
+    // Serial: flow #1 alone at line rate, then flow #2.
+    let serial = measure(
+        cfg.seeds.iter().map(|&s| {
+            fair_scenario(cfg, s)
+                .serialized()
+                .expect("solo probe completes")
+        }),
+        1.0,
+    );
 
     let mut raw = vec![fair, serial];
     for &f in &cfg.fractions {

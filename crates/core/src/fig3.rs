@@ -8,7 +8,7 @@
 
 use crate::scale::Scale;
 use cca::CcaKind;
-use netsim::time::{SimDuration, SimTime};
+use netsim::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use workload::prelude::*;
 
@@ -94,26 +94,7 @@ pub fn run(cfg: &Config) -> Result {
     .with_seed(cfg.seed)
     .with_trace(cfg.bin);
     let fair = workload::scenario::run(&fair_scenario).expect("fair schedule completes");
-
-    let solo = Scenario::new(
-        cfg.mtu,
-        vec![FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes)],
-    )
-    .with_seed(cfg.seed);
-    let solo_fct = workload::scenario::run(&solo)
-        .expect("solo run completes")
-        .reports[0]
-        .completed_at
-        .saturating_since(SimTime::ZERO);
-    let unfair_scenario = Scenario::new(
-        cfg.mtu,
-        vec![
-            FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes),
-            FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes).with_start_delay(solo_fct),
-        ],
-    )
-    .with_seed(cfg.seed)
-    .with_trace(cfg.bin);
+    let unfair_scenario = fair_scenario.serialized().expect("solo probe completes");
     let unfair = workload::scenario::run(&unfair_scenario).expect("serial schedule completes");
 
     Result {

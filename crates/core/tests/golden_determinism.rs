@@ -63,6 +63,42 @@ fn two_flow_fingerprint_is_stable() {
     );
 }
 
+/// Exact fingerprint of the paper's serial "full speed, then idle"
+/// schedule on a CUBIC pair (12 MB per flow, MTU 9000, seed 1): the
+/// solo probe's hand-off instant and the serial run it schedules.
+/// Captured from a hand-built construction (a one-flow run, then a pair
+/// whose second flow starts at the first's completion), which
+/// [`Scenario::serialized`] must reproduce bit-for-bit.
+const GOLDEN_SERIAL_HANDOFF_NS: u64 = 10_352_503;
+const GOLDEN_SERIAL_EVENTS_PROCESSED: u64 = 22_740;
+const GOLDEN_SERIAL_SIM_END_NS: u64 = 210_536_960;
+const GOLDEN_SERIAL_SENDER_ENERGY_J: f64 = 1.3016357421875;
+
+#[test]
+fn serial_schedule_fingerprint_is_stable() {
+    let fair = Scenario::new(9000, vec![FlowSpec::bulk(CcaKind::Cubic, 12 * MB); 2]).with_seed(1);
+    let handoff = fair.solo_handoff().expect("solo probe runs");
+    let out = workload::scenario::run(&fair.serialized().expect("solo probe runs"))
+        .expect("serial schedule runs");
+    let observed = (
+        handoff.as_nanos(),
+        out.engine.events_processed,
+        out.sim_end.as_nanos(),
+        out.sender_energy_j,
+    );
+    println!("observed serial fingerprint: {observed:?}");
+    assert_eq!(
+        observed,
+        (
+            GOLDEN_SERIAL_HANDOFF_NS,
+            GOLDEN_SERIAL_EVENTS_PROCESSED,
+            GOLDEN_SERIAL_SIM_END_NS,
+            GOLDEN_SERIAL_SENDER_ENERGY_J
+        ),
+        "serial-schedule fingerprint moved — the hand-off probe or the run changed"
+    );
+}
+
 /// The fault layer draws from its own RNG stream, so a faulted run must
 /// be exactly as reproducible as a clean one: same `FaultSpec`, same
 /// seed, identical fingerprint — including the injected-drop tally. No

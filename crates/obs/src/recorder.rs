@@ -129,7 +129,7 @@ impl ObsRecorder {
     }
 
     /// Direct access to the registry, for wiring code that records
-    /// run-level facts (pktlog overflow, final stats).
+    /// run-level facts (final stats).
     pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
         &mut self.metrics
     }

@@ -424,20 +424,27 @@ impl ScenarioSpec {
         })
     }
 
-    /// Execute and summarize. Expectation-free: baselines run through
-    /// this. Every shape but the rack grid is one scenario on the shared
-    /// runner; the grid is a population of them.
-    fn measure(&self) -> Result<(Measured, Option<obs::ObsReport>), RunError> {
+    /// When the first flow, run alone on this spec's network, completes:
+    /// the hand-off of the serial "full speed, then idle" schedule, from
+    /// [`Scenario::solo_handoff`]. The spec must carry exactly two flows
+    /// and not be a rack grid.
+    pub fn solo_handoff(&self) -> Result<SimDuration, RunError> {
+        Ok(self.scenario()?.solo_handoff()?)
+    }
+
+    /// The one scenario every shape but the rack grid compiles to.
+    fn scenario(&self) -> Result<Scenario, ScenarioError> {
         let mut sc = match self.topology {
-            Topology::RackGrid {
-                racks,
-                hosts_per_rack,
-            } => return self.measure_grid(racks, hosts_per_rack),
+            Topology::RackGrid { .. } => {
+                return Err(ScenarioError::Invalid(
+                    "a rack grid runs as a population of racks, not one scenario".into(),
+                ))
+            }
             // The single rack of a one-rack population: the same seed,
             // arrival ramp and start jitter as the grid's racks.
             Topology::Incast { senders } => {
                 let Some(rack) = rack_scenarios(&self.population(1, senders)).pop() else {
-                    return Err(ScenarioError::Invalid("an incast needs flows".into()).into());
+                    return Err(ScenarioError::Invalid("an incast needs flows".into()));
                 };
                 rack
             }
@@ -458,7 +465,21 @@ impl ScenarioSpec {
         if self.observability {
             sc.observe = Observe::Full;
         }
-        let outcome = workload::scenario::run(&sc)?;
+        Ok(sc)
+    }
+
+    /// Execute and summarize. Expectation-free: baselines run through
+    /// this. Every shape but the rack grid is one scenario on the shared
+    /// runner; the grid is a population of them.
+    fn measure(&self) -> Result<(Measured, Option<obs::ObsReport>), RunError> {
+        if let Topology::RackGrid {
+            racks,
+            hosts_per_rack,
+        } = self.topology
+        {
+            return self.measure_grid(racks, hosts_per_rack);
+        }
+        let outcome = workload::scenario::run(&self.scenario()?)?;
         let (window, n_sender_hosts) = match self.topology {
             // Population windows run to the rack's end.
             Topology::Incast { senders } => {
@@ -730,6 +751,59 @@ mod tests {
         let report = run.obs.expect("observed run yields a report");
         assert_eq!(report.metrics.counter_total("flows_completed_total"), 2);
         assert!(report.perfetto_json().contains("bottleneck"));
+    }
+
+    #[test]
+    fn solo_handoff_is_a_one_flow_run_on_the_same_wire() {
+        let lossy = |b: ScenarioBuilder| {
+            b.with_seed(9)
+                .chaos(ChaosPhase::Loss { prob: 0.02 })
+                .build()
+                .expect("valid scenario")
+        };
+        let handoff = lossy(two_bulk().with_observability())
+            .solo_handoff()
+            .expect("probe runs");
+        let solo =
+            lossy(ScenarioBuilder::new("solo").traffic(Traffic::bulk(CcaKind::Cubic, 2_000_000)))
+                .run()
+                .expect("solo runs");
+        assert!(
+            solo.measured.injected_drops > 0,
+            "the probe keeps the fault"
+        );
+        assert_eq!(
+            handoff,
+            solo.measured.reports[0]
+                .completed_at
+                .saturating_since(SimTime::ZERO)
+        );
+    }
+
+    #[test]
+    fn solo_handoff_needs_one_scenario_of_two_flows() {
+        let grid = ScenarioBuilder::new("t")
+            .topology(Topology::RackGrid {
+                racks: 2,
+                hosts_per_rack: 2,
+            })
+            .traffic(Traffic::Mix {
+                flows: 2,
+                mix: vec![(CcaKind::Cubic, 1)],
+                bytes_per_flow: 1_000,
+            })
+            .build()
+            .expect("valid grid");
+        let one = ScenarioBuilder::new("t")
+            .traffic(Traffic::bulk(CcaKind::Cubic, 1_000))
+            .build()
+            .expect("valid scenario");
+        for spec in [grid, one] {
+            assert!(matches!(
+                spec.solo_handoff(),
+                Err(RunError::Scenario(ScenarioError::Invalid(_)))
+            ));
+        }
     }
 
     #[test]

@@ -40,9 +40,7 @@ use netsim::topology::{
     BottleneckQueue, Dumbbell, DumbbellConfig, Incast, IncastConfig, ParkingLot, ParkingLotConfig,
 };
 use netsim::units::Rate;
-use obs::{
-    FlowEvent, Labels, NoopRecorder, ObsRecorder, ObsReport, Recorder, SharedRecorder, TrackKind,
-};
+use obs::{FlowEvent, NoopRecorder, ObsRecorder, ObsReport, Recorder, SharedRecorder, TrackKind};
 use std::cell::RefCell;
 use std::rc::Rc;
 use transport::mux::MuxSender;
@@ -176,10 +174,6 @@ pub struct Scenario {
     pub wall_deadline: Option<std::time::Duration>,
     /// Observability mode (see [`Observe`]).
     pub observe: Observe,
-    /// Packet-log ring capacity (`None` disables the log). When
-    /// observability is on, the log's eviction count surfaces as the
-    /// `pktlog_dropped_records_total` metric.
-    pub pkt_log_capacity: Option<usize>,
     /// Same-timestamp delivery batching in the engine (on by default).
     /// The batching-equivalence tests flip it off to pin that coalesced
     /// dispatch is bit-identical to per-packet dispatch.
@@ -213,7 +207,6 @@ impl Scenario {
             max_rto_retries: None,
             wall_deadline: None,
             observe: Observe::Off,
-            pkt_log_capacity: None,
             delivery_batching: true,
         }
     }
@@ -281,16 +274,47 @@ impl Scenario {
         self
     }
 
-    /// Enable the engine's packet log with the given ring capacity.
-    pub fn with_packet_log(mut self, capacity: usize) -> Self {
-        self.pkt_log_capacity = Some(capacity);
-        self
-    }
-
     /// Toggle same-timestamp delivery batching in the engine.
     pub fn with_delivery_batching(mut self, on: bool) -> Self {
         self.delivery_batching = on;
         self
+    }
+
+    /// When flow 0 of this two-flow scenario, run alone on it, completes:
+    /// the hand-off instant of the paper's serial "full speed, then idle"
+    /// schedule. The solo probe keeps the shape, seed, MTU, fault and
+    /// background load, and runs without traces, power series or a
+    /// recorder, none of which can move a completion time.
+    pub fn solo_handoff(&self) -> Result<SimDuration, ScenarioError> {
+        if self.flows.len() != 2 {
+            return Err(ScenarioError::Invalid(format!(
+                "a serial hand-off takes exactly two flows, got {}",
+                self.flows.len()
+            )));
+        }
+        let mut solo = self.clone();
+        solo.flows.truncate(1);
+        solo.trace_bin = None;
+        solo.power_series = false;
+        solo.observe = Observe::Off;
+        match run(&solo)?.reports.first() {
+            Some(first) => Ok(first.completed_at.saturating_since(SimTime::ZERO)),
+            None => Err(ScenarioError::Invalid(
+                "the solo probe reported no flow".into(),
+            )),
+        }
+    }
+
+    /// This two-flow scenario as the serial schedule: flow 0 runs alone
+    /// at full speed and flow 1 starts at [`Self::solo_handoff`], when
+    /// flow 0 would complete alone. Everything else is unchanged.
+    pub fn serialized(&self) -> Result<Scenario, ScenarioError> {
+        let handoff = self.solo_handoff()?;
+        let mut serial = self.clone();
+        if let Some(second) = serial.flows.get_mut(1) {
+            second.start_delay = handoff;
+        }
+        Ok(serial)
     }
 
     /// DCTCP's marking threshold K: the classic guidance is ~65 packets
@@ -647,9 +671,6 @@ pub fn run(scenario: &Scenario) -> Result<ScenarioOutcome, ScenarioError> {
     if let Some(bin) = scenario.trace_bin {
         net.enable_flow_trace(bin);
     }
-    if let Some(capacity) = scenario.pkt_log_capacity {
-        net.enable_packet_log(capacity);
-    }
 
     // The observability seam. `obs_rec` keeps the concrete type so the
     // driver can feed post-run series and finalize; `recorder` is the
@@ -910,15 +931,6 @@ pub fn run(scenario: &Scenario) -> Result<ScenarioOutcome, ScenarioError> {
                     },
                 );
             }
-        }
-        if let Some(log) = net.packet_log() {
-            r.metrics_mut()
-                .counter_add("pktlog_records_total", Labels::new(), log.total_seen());
-            r.metrics_mut().counter_add(
-                "pktlog_dropped_records_total",
-                Labels::new(),
-                log.overflowed(),
-            );
         }
         if let Some(trace) = net.flow_trace() {
             let trace_bin_ns = trace.bin().as_nanos();
@@ -1382,7 +1394,7 @@ mod tests {
     #[test]
     fn observability_does_not_perturb_the_run() {
         let plain = Scenario::new(9000, vec![FlowSpec::bulk(CcaKind::Cubic, 50 * MB)]).with_seed(7);
-        let observed = plain.clone().with_observability().with_packet_log(4096);
+        let observed = plain.clone().with_observability();
         let a = run(&plain).unwrap();
         let b = run(&observed).unwrap();
         assert_eq!(a.engine.events_processed, b.engine.events_processed);
@@ -1394,7 +1406,6 @@ mod tests {
         assert_eq!(report.metrics.counter_total("flows_started_total"), 1);
         assert_eq!(report.metrics.counter_total("flows_completed_total"), 1);
         assert!(report.metrics.counter_total("tcp_retx_total") > 0 || a.dropped_pkts == 0);
-        assert!(report.metrics.counter_total("pktlog_records_total") > 0);
         let json = report.perfetto_json();
         assert!(json.contains("\"name\":\"transfer\""));
         assert!(json.contains("cwnd_bytes"));
@@ -1446,6 +1457,31 @@ mod tests {
         let b = run(&s).unwrap().obs.unwrap();
         assert_eq!(a.perfetto_json(), b.perfetto_json());
         assert_eq!(a.prometheus_text(), b.prometheus_text());
+    }
+
+    #[test]
+    fn serial_handoff_takes_exactly_two_flows() {
+        for n in [1, 3] {
+            let s = Scenario::new(9000, vec![FlowSpec::bulk(CcaKind::Cubic, MB); n]);
+            let err = s.serialized().unwrap_err();
+            assert!(matches!(err, ScenarioError::Invalid(_)), "{n} flows: {err}");
+        }
+    }
+
+    #[test]
+    fn background_load_and_traces_do_not_move_the_handoff() {
+        let fair =
+            Scenario::new(9000, vec![FlowSpec::bulk(CcaKind::Cubic, 12 * MB); 2]).with_seed(5);
+        let handoff = fair.solo_handoff().unwrap();
+        let dressed = fair
+            .with_background_load(StressLoad::fraction(0.5))
+            .with_trace(SimDuration::from_millis(1));
+        assert_eq!(dressed.solo_handoff().unwrap(), handoff);
+        let serial = dressed.serialized().unwrap();
+        assert_eq!(serial.flows[0].start_delay, SimDuration::ZERO);
+        assert_eq!(serial.flows[1].start_delay, handoff);
+        assert_eq!(serial.trace_bin, Some(SimDuration::from_millis(1)));
+        assert_eq!(serial.background_load, StressLoad::fraction(0.5));
     }
 
     #[test]

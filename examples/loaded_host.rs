@@ -7,7 +7,7 @@
 
 use green_envy_repro::analysis::table::Table;
 use green_envy_repro::cca::CcaKind;
-use green_envy_repro::netsim::time::SimTime;
+use green_envy_repro::energy::calibration::pad_to_window;
 use green_envy_repro::workload::prelude::*;
 
 fn main() {
@@ -17,14 +17,11 @@ fn main() {
         .unwrap_or(250);
     let bytes = per_flow_mb * 1_000_000;
 
-    // The solo completion time defines the serial schedule; background
-    // load does not change completion times, only power.
-    let solo = workload::scenario::run(&Scenario::new(
-        9000,
-        vec![FlowSpec::bulk(CcaKind::Cubic, bytes)],
-    ))
-    .expect("solo run completes");
-    let flow1_fct = solo.reports[0].completed_at.saturating_since(SimTime::ZERO);
+    // The solo probe defines the serial schedule; background load does
+    // not change completion times, only power, so one probe serves every
+    // load.
+    let fair = Scenario::new(9000, vec![FlowSpec::bulk(CcaKind::Cubic, bytes); 2]);
+    let serial = fair.serialized().expect("solo probe completes");
 
     let mut t = Table::new([
         "background load",
@@ -33,37 +30,20 @@ fn main() {
         "saving (%)",
     ]);
     for load in [0.0, 0.25, 0.5, 0.75] {
-        let background = StressLoad::fraction(load);
-        let fair = workload::scenario::run(
-            &Scenario::new(
-                9000,
-                vec![
-                    FlowSpec::bulk(CcaKind::Cubic, bytes),
-                    FlowSpec::bulk(CcaKind::Cubic, bytes),
-                ],
-            )
-            .with_background_load(background),
-        )
-        .expect("fair completes");
-        let serial = workload::scenario::run(
-            &Scenario::new(
-                9000,
-                vec![
-                    FlowSpec::bulk(CcaKind::Cubic, bytes),
-                    FlowSpec::bulk(CcaKind::Cubic, bytes).with_start_delay(flow1_fct),
-                ],
-            )
-            .with_background_load(background),
-        )
-        .expect("serial completes");
+        let loaded = |s: &Scenario| {
+            workload::scenario::run(&s.clone().with_background_load(StressLoad::fraction(load)))
+                .expect("schedule completes")
+        };
+        let fair = loaded(&fair);
+        let serial = loaded(&serial);
 
         // Compare over a common window: a finished host idles at base
         // power, so extend the shorter run analytically.
-        let base_w = green_envy_repro::energy::calibration::P_IDLE_W
-            + green_envy_repro::energy::calibration::reference_fan().watts(load);
         let w = fair.window.as_secs_f64().max(serial.window.as_secs_f64());
-        let fair_e = fair.sender_energy_j + (w - fair.window.as_secs_f64()) * base_w * 2.0;
-        let serial_e = serial.sender_energy_j + (w - serial.window.as_secs_f64()) * base_w * 2.0;
+        let pad = |out: &ScenarioOutcome| {
+            pad_to_window(out.sender_energy_j, out.window.as_secs_f64(), w, 2.0, load)
+        };
+        let (fair_e, serial_e) = (pad(&fair), pad(&serial));
 
         t.row([
             format!("{:.0}%", load * 100.0),

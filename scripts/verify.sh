@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full offline verification: release build, formatting, workspace clippy,
 # the whole test suite, and a quick-scale smoke run of every figure
-# binary. This is what CI (and a reviewer) should run before merging
-# engine or experiment changes. A pass/fail table for every stage is
-# printed at the end, even when a stage fails.
+# binary, the extensions and the quickstart and loaded_host examples.
+# Run it (CI does) before merging engine or experiment changes. A
+# pass/fail table for every stage is printed at the end, even when a
+# stage fails.
 #
 # Usage: scripts/verify.sh [--lint] [--chaos] [--resume] [--obs] [--perf] [--scenarios] [--supervise]
 #   --lint    additionally run the simlint static-analysis pass over the
@@ -124,8 +125,14 @@ stage_smoke() {
     # Run from a scratch directory: the figure binaries write
     # results/*.json relative to the cwd, and the quick-scale smoke must
     # not clobber the tracked standard-scale results at the repo root.
+    # The extensions and both examples build the serial schedule too, so
+    # every caller of `Scenario::serialized` runs here.
     (cd "$smoke" && GREENENVY_SCALE=quick \
-        cargo run --release --offline --manifest-path "$repo/Cargo.toml" -p bench --bin all)
+        cargo run --release --offline --manifest-path "$repo/Cargo.toml" -p bench --bin all &&
+        GREENENVY_SCALE=quick \
+        cargo run --release --offline --manifest-path "$repo/Cargo.toml" -p bench --bin extensions &&
+        cargo run --release --offline --manifest-path "$repo/Cargo.toml" --example quickstart &&
+        cargo run --release --offline --manifest-path "$repo/Cargo.toml" --example loaded_host)
 }
 
 stage_perf() {
